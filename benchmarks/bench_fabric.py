@@ -69,9 +69,7 @@ def run_scenario(
     mutations: bool = False,
 ) -> dict:
     config = FabricConfig(
-        replicas=3,
         max_replicas=5 if elastic else 3,
-        min_replicas=2,
         elastic=ElasticPolicy(min_replicas=2) if elastic else None,
         seed=seed,
     )

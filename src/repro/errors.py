@@ -9,7 +9,13 @@ from __future__ import annotations
 
 
 class ReproError(Exception):
-    """Base class for all errors raised by this library."""
+    """Base class for all errors raised by this library.
+
+    Subclasses with their own ``__init__`` call ``ReproError.__init__``
+    explicitly, not ``super().__init__``: repro-contracts resolves a
+    ``super()`` call to every same-named method in the project, which
+    would make raising one of these look like a call into KSP code.
+    """
 
 
 class GraphFormatError(ReproError):
@@ -81,7 +87,7 @@ class RankFailure(ReproError):
     ) -> None:
         where = f" during {stage!r}" if stage else ""
         at = f" (superstep {superstep})" if superstep is not None else ""
-        super().__init__(f"rank {rank} failed{where}{at}")
+        ReproError.__init__(self, f"rank {rank} failed{where}{at}")
         self.rank = rank
         self.stage = stage
         self.superstep = superstep
@@ -95,7 +101,8 @@ class RecoveryExhaustedError(ReproError):
     """
 
     def __init__(self, rank: int, recoveries: int, max_recoveries: int) -> None:
-        super().__init__(
+        ReproError.__init__(
+            self,
             f"giving up after {recoveries} recoveries "
             f"(max_recoveries={max_recoveries}): rank {rank} failed again"
         )
@@ -113,5 +120,5 @@ class SanitizerError(ReproError):
     """
 
     def __init__(self, message: str, finding=None) -> None:
-        super().__init__(message)
+        ReproError.__init__(self, message)
         self.finding = finding

@@ -32,6 +32,7 @@ from repro.fabric.fabric import (
     FabricConfig,
     FabricReport,
     KillRecord,
+    ServerConfig,
     ServingFabric,
     report_row,
     slo_text,
@@ -50,6 +51,7 @@ __all__ = [
     "FabricSupervisor",
     "ElasticPolicy",
     "ElasticEvent",
+    "ServerConfig",
     "FabricConfig",
     "KillRecord",
     "FabricReport",

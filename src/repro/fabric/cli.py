@@ -18,12 +18,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.distributed.comm import FaultPlan
+from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
 from repro.fabric.elastic import ElasticPolicy
-from repro.fabric.fabric import FabricConfig, ServingFabric, report_row, slo_text
+from repro.fabric.fabric import (
+    REPLICA_SERVER,
+    FabricConfig,
+    ServingFabric,
+    report_row,
+    slo_text,
+)
 from repro.graph.suite import SCALES, suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
@@ -101,11 +109,9 @@ def run_from_args(args: argparse.Namespace) -> dict:
     if max_replicas is None:
         max_replicas = args.replicas + (2 if args.elastic else 0)
     config = FabricConfig(
-        replicas=args.replicas,
+        server=replace(REPLICA_SERVER, replicas=args.replicas, timeout=args.timeout),
         max_replicas=max_replicas,
-        min_replicas=max(1, args.replicas - 1),
         shards=args.shards,
-        timeout=args.timeout,
         elastic=ElasticPolicy(min_replicas=max(1, args.replicas - 1))
         if args.elastic
         else None,
@@ -116,6 +122,10 @@ def run_from_args(args: argparse.Namespace) -> dict:
         if args.inject
         else None
     )
+    if args.mutations and max_replicas == 1 and plan is None:
+        # one replica and no kills is a single server over the graph as
+        # given: it needs a live graph to apply the incident stream to
+        graph = LiveGraph(graph)
     fabric = ServingFabric(graph, mix, config=config, fault_plan=plan)
     spec = (
         dict(MMPP_SPEC)
@@ -157,9 +167,7 @@ def run_from_args(args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # graph cloning in ServingFabric.__init__ is not query-driven; every
-    # query still validates inside QueryServer.serve
-    payload = run_from_args(args)  # contracts: disable=CTR501 (validated in serve)
+    payload = run_from_args(args)
     if args.json:
         path = Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,16 +1,25 @@
-"""``ServingFabric`` — the deterministic replicated-serving event loop.
+"""``ServingFabric`` — the one discrete-event serving loop.
 
-One fabric run interleaves five event streams on a single simulated
-timeline, in a fixed priority order at equal instants (recoveries →
-heartbeats → mutations → query arrivals):
+Every simulated serving run in the repo goes through this loop: a
+single :class:`~repro.serve.QueryServer` under load
+(:class:`~repro.load.harness.LoadHarness`, the run-table runner,
+``peek-load``, ``peek-dyn``) as much as a replicated fleet under seeded
+kills (``peek-fabric``).  A run interleaves up to five event streams on
+one simulated timeline, in a fixed priority order at equal instants
+(recoveries → heartbeats → mutations → query arrivals):
 
-* **queries** — open-loop arrivals (or a replayed trace) routed by
+* **queries** — open-loop arrivals, a replayed trace, or a
+  :class:`~repro.load.arrivals.ClosedLoop` user population, routed by
   shard through the bounded-load consistent-hash
   :class:`~repro.fabric.router.Router` and served *eagerly* on the
-  shared :class:`~repro.load.simclock.SimClock` (the same
-  jump-and-advance discipline as :class:`~repro.load.harness.
-  LoadHarness`, so a one-replica fabric reproduces the single-server
-  harness exactly);
+  shared :class:`~repro.load.simclock.SimClock`: the clock jumps to the
+  query's start instant, the real pipeline advances it per cooperative
+  checkpoint, and the completion instant is booked on the replica;
+* **mutations** — each :class:`~repro.dyn.stream.MutationBatch` is
+  applied to every serving replica (and, in a fleet, to the
+  authoritative :class:`~repro.dyn.live.LiveGraph` first, broadcast
+  under stage ``fabric.mutate``); dead or recovering replicas catch up
+  from the batch log during recovery;
 * **heartbeats** — every ``heartbeat_interval`` simulated seconds the
   fabric's :class:`~repro.distributed.comm.SimComm` runs a barrier
   (stage ``fabric.heartbeat``); a seeded
@@ -25,23 +34,26 @@ heartbeats → mutations → query arrivals):
   restores the shard snapshots from the CRC-checked store, the replica
   replays the mutation batches it missed, its rebuilt state is verified
   byte-equal to the authority, and it rejoins the ring (time-to-recovery
-  is deterministic: restore latency + bytes + per-batch replay);
-* **mutations** — each :class:`~repro.dyn.stream.MutationBatch` is
-  applied to the authoritative :class:`~repro.dyn.live.LiveGraph` and
-  broadcast (stage ``fabric.mutate``) to every serving replica holding a
-  touched shard — under full replication that is every ``active`` /
-  ``draining`` replica; dead or recovering replicas catch up from the
-  batch log during recovery.
+  is deterministic: restore latency + bytes + per-batch replay).
 
-Everything downstream of the seeds is deterministic, so a fabric
-report — availability, latency percentiles under failure, disposition
-counts, time-to-recovery per kill — is reproducible byte-for-byte.
+A fabric with one provisioned replica and no fault plan has nothing to
+fail over to, so it runs *bare*: its one server serves the graph as
+given (a static CSR stays static — cloning it into a ``LiveGraph`` would
+switch on the versioned solver's prepared-decision memo and change
+answers), and there are no heartbeats, checkpoints or recoveries.  That
+is the single-server case; its report is a plain
+:class:`~repro.load.report.LoadReport`.
+
+Everything downstream of the seeds is deterministic, so a report —
+availability, latency percentiles under failure, disposition counts,
+time-to-recovery per kill — is reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import islice
 from random import Random
 from typing import Any, Iterable, Iterator
 
@@ -65,20 +77,16 @@ from repro.fabric.ring import HashRing
 from repro.fabric.router import Router, ShardMap
 from repro.fabric.supervisor import FabricSupervisor
 from repro.load.arrivals import ArrivalProcess, ClosedLoop
-from repro.load.harness import (
-    EXPIRED,
-    MIX_STREAM_OFFSET,
-    SHED,
-    LoadReport,
-    QueryLog,
-    disposition_summary,
-)
+from repro.load.report import EXPIRED, SHED, LoadReport, QueryLog
 from repro.load.simclock import CostModel, SimClock, virtual_time
+from repro.load.trace import MIX_STREAM_OFFSET, record_open_loop
 from repro.obs.tracer import get_tracer
 from repro.serve.query import Query
 from repro.serve.server import QueryServer, RetryPolicy
 
 __all__ = [
+    "ServerConfig",
+    "REPLICA_SERVER",
     "FabricConfig",
     "KillRecord",
     "FabricReport",
@@ -87,29 +95,75 @@ __all__ = [
     "slo_text",
 ]
 
+#: decorrelates the closed-loop think-time RNG from the mix RNG
+THINK_STREAM_OFFSET = 0x6A09E667
+#: decorrelates each server's retry-jitter RNG from the traffic streams
+JITTER_STREAM_OFFSET = 0xB7E15162
+
+
+@dataclass(frozen=True)
+class ServerConfig:
+    """How every replica server is built and served (a run-table axis).
+
+    ``timeout`` is the *client-side* budget stamped on every generated
+    query (anchored at arrival, so queue wait burns it); ``queue_depth``
+    is each replica's wait queue in front of its ``max_in_flight``
+    workers (0 = shed on busy, the live server's semantics); the
+    remaining server fields go straight to
+    :class:`~repro.serve.QueryServer`.
+    """
+
+    name: str
+    timeout: float | None = None
+    max_in_flight: int = 4
+    queue_depth: int = 0
+    tier1_budget_fraction: float | None = None
+    kernel: str = "delta"
+    cache_size: int = 64
+    jitter: float = 0.0
+    #: replicas serving at t=0 (1 = a single server over the graph as
+    #: given; see :class:`ServingFabric`)
+    replicas: int = 1
+
+    def __post_init__(self) -> None:
+        if self.queue_depth < 0:
+            raise ValueError("queue_depth must be >= 0")
+        if self.replicas < 1:
+            raise ValueError("need at least one replica")
+
+    def build(self, graph, *, seed: int) -> QueryServer:
+        """A server over ``graph`` with a ``seed``-derived jitter RNG."""
+        return QueryServer(
+            graph,
+            kernel=self.kernel,
+            cache_size=self.cache_size,
+            default_timeout=self.timeout,
+            max_in_flight=self.max_in_flight,
+            tier1_budget_fraction=self.tier1_budget_fraction,
+            retry=RetryPolicy(jitter=self.jitter),
+            rng=Random(seed + JITTER_STREAM_OFFSET),
+        )
+
+    def to_dict(self) -> dict[str, Any]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+#: the fleet default: three replicas, 4 workers + 4 queue slots each
+REPLICA_SERVER = ServerConfig(
+    name="replica", timeout=0.5, max_in_flight=4, queue_depth=4, replicas=3
+)
+
 
 @dataclass(frozen=True)
 class FabricConfig:
     """Everything one fabric needs besides the graph and the traffic."""
 
-    #: replicas serving at t=0
-    replicas: int = 3
+    #: every replica server, and the replica count at t=0
+    server: ServerConfig = REPLICA_SERVER
     #: provisioned replica slots (ring membership; extras start standby)
     max_replicas: int | None = None
-    #: elastic floor
-    min_replicas: int = 1
-    #: shard count (vertex ranges of the RowPartition)
+    #: shard count of a fleet (vertex ranges of the RowPartition)
     shards: int = 8
-    #: per-query client budget (anchored at arrival; wait burns it)
-    timeout: float | None = 0.5
-    #: worker slots per replica
-    max_in_flight: int = 4
-    #: per-replica wait-queue depth
-    queue_depth: int = 4
-    tier1_budget_fraction: float | None = None
-    kernel: str = "delta"
-    cache_size: int = 64
-    sanitize: bool | None = None
     #: bounded-load factor c (1 = perfectly even; Google's canonical 1.25)
     load_factor: float = 1.25
     #: simulated seconds between health heartbeats
@@ -126,6 +180,7 @@ class FabricConfig:
     recovery_budget_heartbeats: int = 10
     #: scaling policy (None = fixed fleet)
     elastic: ElasticPolicy | None = None
+    #: master seed: arrivals, query content, think times, retry jitter
     seed: int = 0
 
 
@@ -160,33 +215,19 @@ class KillRecord:
 
 
 @dataclass
-class FabricReport:
-    """Everything one fabric run produced."""
+class FabricReport(LoadReport):
+    """A fleet run's report: the :class:`~repro.load.report.LoadReport`
+    plus kills, recoveries, scaling and BSP accounting."""
 
-    logs: list[QueryLog]
-    horizon: float
-    kills: list[KillRecord]
-    elastic_events: list[ElasticEvent]
-    peak_in_flight: int = 0
-    clock_ticks: int = 0
-    mutation_batches: int = 0
+    kills: list[KillRecord] = field(default_factory=list)
+    elastic_events: list[ElasticEvent] = field(default_factory=list)
     heartbeats: int = 0
     spills: int = 0
     router_rejected: int = 0
-    #: merged per-outcome counters across every replica server mounted
-    server_counters: dict[str, int] = field(default_factory=dict)
     #: final replica states, id-ordered
     replica_states: dict[int, str] = field(default_factory=dict)
     #: BSP accounting of the fabric communicator
     dist: dict[str, float] = field(default_factory=dict)
-    #: request_id -> ((vertices, distance), ...) when ``keep_results``
-    results: dict[str, tuple] | None = None
-
-    def dispositions(self) -> dict:
-        """Unified SLO ledger (:func:`~repro.load.harness.
-        disposition_summary`) — the same code path ``bench_serving``
-        uses, so single-server and fabric availability are comparable."""
-        return disposition_summary(self.logs, self.server_counters)
 
     def recovery_window_dispositions(self) -> dict[str, int]:
         """Disposition counts of queries issued while a replica was down."""
@@ -202,16 +243,10 @@ class FabricReport:
 
     def metrics(self) -> dict[str, Any]:
         """A superset of :meth:`LoadReport.metrics
-        <repro.load.harness.LoadReport.metrics>` — run-table cells with a
+        <repro.load.report.LoadReport.metrics>` — run-table cells with a
         ``replicas`` axis stay schema-compatible with single-server
-        cells — plus the fabric-only availability/recovery columns."""
-        base = LoadReport(
-            logs=self.logs,
-            horizon=self.horizon,
-            peak_in_flight=self.peak_in_flight,
-            clock_ticks=self.clock_ticks,
-            mutation_batches=self.mutation_batches,
-        ).metrics()
+        cells — plus the fleet-only availability/recovery columns."""
+        base = super().metrics()
         summary = self.dispositions()
         ttrs = [k.ttr for k in self.kills if k.ttr is not None]
         base.update(
@@ -236,35 +271,20 @@ class FabricReport:
         return base
 
 
-class _FabricFeed:
-    """Lazy, time-ordered mutation feed (fabric twin of ``_MutationFeed``)."""
-
-    def __init__(self, batches, fabric: "ServingFabric") -> None:
-        self._it = iter(batches) if batches is not None else iter(())
-        self._fabric = fabric
-        self._next = next(self._it, None)
-
-    def peek(self) -> float | None:
-        return self._next.at if self._next is not None else None
-
-    def pop_apply(self) -> None:
-        batch = self._next
-        self._next = next(self._it, None)
-        self._fabric._apply_batch(batch)
-
-
 class ServingFabric:
-    """N replicas, one router, one supervisor, one timeline.
+    """N replicas, one router, one timeline — or, bare, one server.
 
     Parameters
     ----------
     graph:
-        The initial graph (a static CSR; the fabric owns the
-        authoritative :class:`~repro.dyn.live.LiveGraph` built over it,
-        and every replica serves an independent clone).
+        The graph to serve.  A fleet owns the authoritative
+        :class:`~repro.dyn.live.LiveGraph` built over it (exposed as
+        :attr:`authority`) and every replica serves an independent
+        clone; a bare fabric serves ``graph`` itself (pass a
+        ``LiveGraph`` to mutate it).
     mix:
-        Query-content sampler for open-loop traffic (optional when every
-        run replays a trace).
+        Query-content sampler (required unless every run replays a
+        trace).
     config:
         The :class:`FabricConfig`.
     cost_model:
@@ -272,47 +292,63 @@ class ServingFabric:
     fault_plan:
         Seeded :class:`~repro.distributed.comm.FaultPlan`; ``@R<N>``
         rules target replicas (identity-mapped onto the fabric's ranks).
+    server:
+        In place of ``graph``: a caller-built server, served as given by
+        a bare fabric (only ``timeout`` and ``queue_depth`` of
+        ``config.server`` apply to it).
     """
 
     def __init__(
         self,
-        graph,
+        graph=None,
         mix=None,
         *,
         config: FabricConfig | None = None,
         cost_model: CostModel | None = None,
         fault_plan: FaultPlan | None = None,
+        server: QueryServer | None = None,
     ) -> None:
+        if (graph is None) == (server is None):
+            raise TypeError("pass either a graph or a caller-built server")
         cfg = config if config is not None else FabricConfig()
-        if cfg.replicas < 1:
-            raise ValueError("need at least one replica")
-        provisioned = (
-            cfg.max_replicas if cfg.max_replicas is not None else cfg.replicas
-        )
-        if provisioned < cfg.replicas:
+        replicas = cfg.server.replicas
+        provisioned = cfg.max_replicas if cfg.max_replicas is not None else replicas
+        if provisioned < replicas:
             raise ValueError("max_replicas must cover the initial replicas")
+        bare = provisioned == 1 and fault_plan is None
+        if server is not None and not bare:
+            raise ValueError(
+                "a caller-built server runs alone: one replica, no fault plan"
+            )
         self.config = cfg
         self.mix = mix
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.authority = LiveGraph(graph)
-        self.shard_map = ShardMap(graph, cfg.shards)
-        self.comm = SimComm(
-            provisioned,
-            CommModel().scaled_for(graph.num_edges),
-            fault_plan=fault_plan,
-        )
-        self.supervisor = FabricSupervisor(self.comm, self.shard_map)
         self.ring = HashRing(range(provisioned))
         self.replicas: dict[int, Replica] = {}
-        for rid in range(provisioned):  # contracts: disable=CTR201 (bounded)
-            if rid < cfg.replicas:
-                server = self._clone_server()
-                self.replicas[rid] = Replica(
-                    rid, server, queue_depth=cfg.queue_depth, state=ACTIVE
-                )
-            else:
-                self.replicas[rid] = Replica(
-                    rid, None, queue_depth=cfg.queue_depth, state=STANDBY
+        if bare:
+            if server is None:
+                spec: ServerConfig = cfg.server
+                server = spec.build(graph, seed=cfg.seed)
+            # a lone server has no placement to make: one shard covers it
+            self.shard_map = ShardMap(server.graph, 1)
+            #: the graph mutations apply to (the server's own, when bare;
+            #: None over a static graph)
+            self.authority = server.live
+            self.comm: SimComm | None = None
+            self.supervisor: FabricSupervisor | None = None
+            self.replicas[0] = self._replica(0, server)
+        else:
+            self.shard_map = ShardMap(graph, cfg.shards)
+            self.authority = LiveGraph(graph)
+            self.comm = SimComm(
+                provisioned,
+                CommModel().scaled_for(graph.num_edges),
+                fault_plan=fault_plan,
+            )
+            self.supervisor = FabricSupervisor(self.comm, self.shard_map)
+            for rid in range(provisioned):  # contracts: disable=CTR201 (bounded)
+                self.replicas[rid] = self._replica(
+                    rid, self._clone_server(rid) if rid < replicas else None
                 )
         self.router = Router(
             self.ring, self.replicas, load_factor=cfg.load_factor
@@ -325,152 +361,217 @@ class ServingFabric:
         self._known_dead: set[int] = set()
         self._ticks_done = 0
         self._mutations_applied = 0
+        self._feed: Iterator[Any] = iter(())
+        self._next_batch = None
         self.kills: list[KillRecord] = []
         self.elastic_events: list[ElasticEvent] = []
         self._logs: dict[str, QueryLog] = {}
         self._results: dict[str, tuple] | None = None
+        #: response instants of queries booked so far (a heap)
         self._outstanding: list[float] = []
         self._peak = 0
-        self._clock = SimClock()
+        self._clock: SimClock | None = None
 
     # -- construction helpers -------------------------------------------
-    def _clone_server(self) -> QueryServer:
-        """A fresh server over an independent clone of the authority."""
-        cfg = self.config
-        snap = self.authority.snapshot()
-        terrace = TerraceGraph.from_csr(snap.graph)
-        alive = self.authority.alive
+    def _replica(self, rid: int, server: QueryServer | None) -> Replica:
+        return Replica(
+            rid,
+            server,
+            queue_depth=self.config.server.queue_depth,
+            state=ACTIVE if server is not None else STANDBY,
+        )
+
+    def _replica_server(self, rid: int, csr, alive, version: int) -> QueryServer:
+        """A fleet replica's server over its own live copy of a graph state."""
+        terrace = TerraceGraph.from_csr(csr)
         dead = np.flatnonzero(~alive)
         if dead.size:
             terrace.delete_vertices(dead)
-        live = LiveGraph(terrace, version=snap.version)
-        server = QueryServer(
-            live,
-            kernel=cfg.kernel,
-            cache_size=cfg.cache_size,
-            default_timeout=cfg.timeout,
-            max_in_flight=cfg.max_in_flight,
-            tier1_budget_fraction=cfg.tier1_budget_fraction,
-            retry=RetryPolicy(),
-            sanitize=cfg.sanitize,
+        spec: ServerConfig = self.config.server
+        return spec.build(
+            LiveGraph(terrace, version=version), seed=self.config.seed + rid
         )
-        server.batch.version = snap.version
-        return server
+
+    def _clone_server(self, rid: int) -> QueryServer:
+        """A fresh server over an independent clone of the authority."""
+        snap = self.authority.snapshot()
+        return self._replica_server(
+            rid, snap.graph, self.authority.alive, snap.version
+        )
 
     # -- the run --------------------------------------------------------
     def run(
         self,
-        traffic: ArrivalProcess | Iterable[Query],
+        traffic: ArrivalProcess | ClosedLoop | Iterable[Query],
         *,
         horizon: float,
         max_queries: int | None = None,
         mutations=None,
         keep_results: bool = False,
-    ) -> FabricReport:
-        """Run one fabric experiment; see the module docstring.
+    ) -> LoadReport:
+        """Run one experiment; see the module docstring.
 
-        ``traffic`` is an open-loop arrival process or a query trace —
-        closed-loop populations are rejected because a hedge shifts the
-        response instant the user's next think time would anchor on,
-        which would make the population's schedule depend on failure
-        timing (use the single-server harness for closed-loop studies).
+        ``traffic`` is an open-loop arrival process, a closed-loop
+        population, or a query trace in issue order.  Every query of a
+        run needs its own ``request_id`` (logs, in-flight bookkeeping and
+        hedges are keyed by it; a hand-built ``Query`` defaults to
+        ``""``), else :class:`ValueError`.  ``mutations`` is an optional time-ordered
+        iterable of :class:`~repro.dyn.stream.MutationBatch`, pulled
+        lazily: the next batch is drawn only after the previous one was
+        applied, so a generator that samples the current graph state
+        (:meth:`IncidentStream.batches
+        <repro.dyn.stream.IncidentStream.batches>` over
+        :attr:`authority`) sees exactly the state its batch applies to.
+        A bare fabric over a static graph has no :attr:`authority` and
+        refuses mutations with :class:`ValueError`.
+
+        A closed-loop population cannot run under a fault plan: a hedge
+        moves the response instant the user's next think time anchors
+        on, which would make the population's schedule depend on
+        failure timing.  A fabric runs once.
         """
-        if isinstance(traffic, ClosedLoop):
+        if self._clock is not None:
+            raise RuntimeError("a fabric runs once; build a new one per run")
+        if isinstance(traffic, ClosedLoop) and self.comm is not None and (
+            self.comm.fault_plan is not None
+        ):
             raise ValueError(
-                "the fabric serves open-loop traffic (or traces) only; "
-                "closed-loop populations couple think times to failover "
-                "timing — run those through LoadHarness"
+                "closed-loop populations cannot run under a kill plan: "
+                "their think times would couple to failover timing"
+            )
+        if isinstance(traffic, (ArrivalProcess, ClosedLoop)) and self.mix is None:
+            raise ValueError("generated traffic needs a query mix")
+        self._feed = iter(mutations if mutations is not None else ())
+        self._next_batch = next(self._feed, None)
+        if self._next_batch is not None and self.authority is None:
+            raise ValueError(
+                "mutations need a live graph: this single server serves a "
+                "static graph (build it over a LiveGraph)"
             )
         self._results = {} if keep_results else None
-        feed = _FabricFeed(mutations, self)
-        if isinstance(traffic, ArrivalProcess):
-            queries: Iterable[Query] = self._generate(
-                traffic, horizon, max_queries
-            )
-        else:
-            queries = self._cap(iter(traffic), max_queries)
+        self._clock = SimClock()
         with virtual_time(self._clock, self.cost_model):
             restore = [
-                (r, r.server._sleep) for r in self.replicas.values()
+                (r.server, r.server._sleep)
+                for r in self.replicas.values()
                 if r.server is not None
             ]
-            for r, _ in restore:
-                r.server._sleep = self._clock.sleep
+            for server, _ in restore:
+                server._sleep = self._clock.sleep
             try:
-                # t=0 coordinated checkpoint: recovery always has a base
-                self.supervisor.save_shards(self.authority)
-                for q in queries:
-                    self._advance_to(q.issued_at, feed)
+                if self.supervisor is not None:
+                    # t=0 coordinated checkpoint: recovery always has a base
+                    self.supervisor.save_shards(self.authority)
+                for q in self._queries(traffic, horizon, max_queries):
+                    if q.request_id in self._logs:
+                        raise ValueError(
+                            f"duplicate request_id {q.request_id!r} in one "
+                            "run: give every query its own id (a Query "
+                            "built without one has request_id '')"
+                        )
+                    self._advance_to(q.issued_at)
                     self._dispatch(q)
-                self._advance_to(horizon, feed)
+                self._advance_to(horizon)
             finally:
-                for r, sleep in restore:
-                    r.server._sleep = sleep
+                for server, sleep in restore:
+                    server._sleep = sleep
         for rid in sorted(self.replicas):
             self.replicas[rid].commit_until(float("inf"))
-        return self._report(horizon)
+        report = self._report(horizon)
+        if isinstance(traffic, ClosedLoop):
+            assert report.peak_in_flight <= traffic.users, (
+                "closed-loop invariant violated: in-flight exceeded population"
+            )
+        return report
 
     # -- traffic --------------------------------------------------------
-    def _generate(
-        self, process: ArrivalProcess, horizon: float, max_queries: int | None
+    def _queries(
+        self,
+        traffic: ArrivalProcess | ClosedLoop | Iterable[Query],
+        horizon: float,
+        max_queries: int | None,
     ) -> Iterator[Query]:
-        if self.mix is None:
-            raise ValueError("an open-loop fabric run needs a query mix")
-        cfg = self.config
-        rng_arrivals = Random(cfg.seed)
-        rng_mix = Random(cfg.seed + MIX_STREAM_OFFSET)
-        for i, t in enumerate(process.arrivals(rng_arrivals, horizon)):
-            if max_queries is not None and i >= max_queries:
-                return
+        """The run's queries in issue order, at most ``max_queries``."""
+        if isinstance(traffic, ArrivalProcess):
+            return iter(
+                record_open_loop(
+                    traffic,
+                    self.mix,
+                    horizon=horizon,
+                    seed=self.config.seed,
+                    timeout=self.config.server.timeout,
+                    max_queries=max_queries,
+                )
+            )
+        if isinstance(traffic, ClosedLoop):
+            return islice(self._closed_loop(traffic, horizon), max_queries)
+        return islice(traffic, max_queries)
+
+    def _closed_loop(self, population: ClosedLoop, horizon: float) -> Iterator[Query]:
+        """Each user issues, waits for the answer (or the failed attempt),
+        thinks, and issues again; the next wake reads the log the loop
+        wrote for the query just yielded."""
+        seed = self.config.seed
+        rng_think = Random(seed + THINK_STREAM_OFFSET)
+        rng_mix = Random(seed + MIX_STREAM_OFFSET)
+        ramp = (
+            population.ramp
+            if population.ramp is not None
+            else population.think_mean
+        )
+        # Initial wake-ups, uniformly over the ramp window.  For a
+        # million-user population this is one float per user — the heap
+        # never holds more than one entry per user, which is what keeps
+        # closed-loop in-flight <= population by construction.
+        wakes = [rng_think.random() * ramp for _ in range(population.users)]
+        heapq.heapify(wakes)
+        issued = 0
+        while wakes:
+            t = heapq.heappop(wakes)
+            if t >= horizon:
+                continue  # this user retires
             source, target, k = self.mix.sample(rng_mix)
-            yield Query(
+            q = Query(
                 source=source,
                 target=target,
                 k=k,
-                timeout=cfg.timeout,
-                request_id=f"q{i:06d}",
+                timeout=self.config.server.timeout,
+                request_id=f"q{issued:06d}",
                 issued_at=t,
             )
-
-    @staticmethod
-    def _cap(queries: Iterator[Query], max_queries: int | None) -> Iterator[Query]:
-        for i, q in enumerate(queries):
-            if max_queries is not None and i >= max_queries:
-                return
+            issued += 1
             yield q
+            log = self._logs[q.request_id]
+            response_at = t + log.latency if log.served else t
+            think = rng_think.expovariate(1.0 / population.think_mean)
+            heapq.heappush(wakes, response_at + think)
 
     # -- the event loop --------------------------------------------------
-    def _advance_to(self, t: float, feed: _FabricFeed) -> None:
+    def _advance_to(self, t: float) -> None:
         """Process every timed event at or before ``t``, in time order.
 
         Equal-instant priority: recoveries, then heartbeats, then
         mutations — a replica that recovers exactly when a batch lands
-        receives that batch like any other survivor.
+        receives that batch like any other survivor.  A bare fabric has
+        no heartbeats.
         """
+        inf = float("inf")
         hb = self.config.heartbeat_interval
         while True:
-            next_recover = self._pending[0][0] if self._pending else None
-            next_tick = (self._ticks_done + 1) * hb
-            if next_tick > t:
-                next_tick = None
-            next_mut = feed.peek()
-            if next_mut is not None and next_mut > t:
-                next_mut = None
-            candidates = [
-                v
-                for v in (next_recover, next_tick, next_mut)
-                if v is not None and v <= t
-            ]
-            if not candidates:
+            at_pending = self._pending[0][0] if self._pending else inf
+            at_tick = (self._ticks_done + 1) * hb if self.comm is not None else inf
+            at_batch = self._next_batch.at if self._next_batch is not None else inf
+            at = min(at_pending, at_tick, at_batch)
+            if at > t:
                 return
-            at = min(candidates)
-            if next_recover is not None and next_recover <= at:
+            if at_pending == at:
                 self._process_pending()
-            elif next_tick is not None and next_tick <= at:
+            elif at_tick == at:
                 self._ticks_done += 1
-                self._heartbeat(self._ticks_done * hb)
+                self._heartbeat(at)
             else:
-                feed.pop_apply()
+                self._apply_batch(self._next_batch)
+                self._next_batch = next(self._feed, None)
 
     def _process_pending(self) -> None:
         at, _, kind, rid, kill = heapq.heappop(self._pending)
@@ -478,7 +579,7 @@ class ServingFabric:
             self._finish_recovery(at, rid, kill)
         else:  # "scaleup"
             replica = self.replicas[rid]
-            replica.reset(self._clone_server(), at=at, state=ACTIVE)
+            replica.reset(self._clone_server(rid), at=at, state=ACTIVE)
             replica.server._sleep = self._clock.sleep
 
     def _schedule(self, at: float, kind: str, rid: int, kill) -> None:
@@ -566,38 +667,16 @@ class ServingFabric:
     def _hedge(self, flight: Flight, tk: float) -> None:
         q = flight.query
         hedges = flight.hedges + 1
-        tracer = get_tracer()
-        tracer.add("fabric.hedges")
-        if hedges > self.config.max_hedges:
-            self._log(
-                QueryLog(
-                    request_id=q.request_id,
-                    source=q.source,
-                    target=q.target,
-                    k=q.k,
-                    issued_at=q.issued_at,
-                    disposition=SHED,
-                    queue_time=tk - q.issued_at,
-                    replica=flight.replica,
-                    hedges=hedges,
-                )
-            )
-            return
-        shard = self.shard_map.shard_of(q.source)
-        rid = self.router.place(shard, tk)
+        get_tracer().add("fabric.hedges")
+        rid = (
+            self.router.place(self.shard_map.shard_of(q.source), tk)
+            if hedges <= self.config.max_hedges
+            else None
+        )
         if rid is None:
-            self._log(
-                QueryLog(
-                    request_id=q.request_id,
-                    source=q.source,
-                    target=q.target,
-                    k=q.k,
-                    issued_at=q.issued_at,
-                    disposition=SHED,
-                    queue_time=tk - q.issued_at,
-                    replica=flight.replica,
-                    hedges=hedges,
-                )
+            self._drop(
+                q, SHED, queue_time=tk - q.issued_at,
+                replica=flight.replica, hedges=hedges,
             )
             return
         self._serve_on(self.replicas[rid], q, tk, hedges)
@@ -605,58 +684,44 @@ class ServingFabric:
     # -- dispatch --------------------------------------------------------
     def _dispatch(self, q: Query) -> None:
         t = q.issued_at
-        shard = self.shard_map.shard_of(q.source)
-        rid = self.router.place(shard, t)
+        rid = self.router.place(self.shard_map.shard_of(q.source), t)
         if rid is None:
-            self._log(
-                QueryLog(
-                    request_id=q.request_id,
-                    source=q.source,
-                    target=q.target,
-                    k=q.k,
-                    issued_at=t,
-                    disposition=SHED,
-                )
-            )
+            self._drop(q, SHED)
             return
         self._serve_on(self.replicas[rid], q, t, 0)
 
     def _serve_on(
         self, replica: Replica, q: Query, now_t: float, hedges: int
     ) -> None:
+        """Serve ``q`` on ``replica``, arriving there at ``now_t``."""
         start = replica.next_start(now_t)
         queue_time = start - q.issued_at  # total wait since *issue*
         timeout = q.timeout
         if timeout is not None and queue_time >= timeout:
-            self._log(
-                QueryLog(
-                    request_id=q.request_id,
-                    source=q.source,
-                    target=q.target,
-                    k=q.k,
-                    issued_at=q.issued_at,
-                    disposition=EXPIRED,
-                    queue_time=queue_time,
-                    replica=replica.id,
-                    hedges=hedges,
-                )
+            # the budget died while queueing: never reaches a worker
+            self._drop(
+                q, EXPIRED, queue_time=queue_time,
+                replica=replica.id, hedges=hedges,
             )
             return
         budget = None if timeout is None else timeout - queue_time
         self._clock.jump_to(start)
         res = replica.server.serve(q.with_timeout(budget), queue_time=queue_time)
         finish = self._clock.now()
-        flight = Flight(
-            query=q,
-            replica=replica.id,
-            issued_at=q.issued_at,
-            start=start,
-            finish=finish,
-            result=res,
-            hedges=hedges,
+        replica.occupy(
+            Flight(
+                query=q,
+                replica=replica.id,
+                issued_at=q.issued_at,
+                start=start,
+                finish=finish,
+                result=res,
+                hedges=hedges,
+            )
         )
-        replica.occupy(flight)
-        while self._outstanding and self._outstanding[0] <= start:
+        # in flight at the arrival instant: everything whose response is
+        # still ahead, queued or running, plus this query
+        while self._outstanding and self._outstanding[0] <= now_t:
             heapq.heappop(self._outstanding)
         heapq.heappush(self._outstanding, finish)
         self._peak = max(self._peak, len(self._outstanding))
@@ -683,31 +748,58 @@ class ServingFabric:
                 (p.vertices, p.distance) for p in res.paths
             )
 
+    def _drop(
+        self,
+        q: Query,
+        disposition: str,
+        *,
+        queue_time: float = 0.0,
+        replica: int = -1,
+        hedges: int = 0,
+    ) -> None:
+        """Log a request that got no response (:data:`SHED`/:data:`EXPIRED`)."""
+        self._log(
+            QueryLog(
+                request_id=q.request_id,
+                source=q.source,
+                target=q.target,
+                k=q.k,
+                issued_at=q.issued_at,
+                disposition=disposition,
+                queue_time=queue_time,
+                replica=replica,
+                hedges=hedges,
+            )
+        )
+        if self._results is not None:
+            self._results.pop(q.request_id, None)
+
     def _log(self, log: QueryLog) -> None:
+        # a hedge re-logs its request in place, keeping issue order
         self._logs[log.request_id] = log
-        if self._results is not None and log.disposition in (SHED, EXPIRED):
-            self._results.pop(log.request_id, None)
 
     # -- mutations -------------------------------------------------------
     def _apply_batch(self, batch) -> None:
-        touched_shards = self.shard_map.shards_touching(
-            batch.touched_vertices()
-        )
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.add("fabric.mutate.batches")
-            tracer.add("fabric.mutate.touched_shards", len(touched_shards))
-        try:
-            self.comm.bcast(int(batch.size), stage="fabric.mutate")
-        except RankFailure:
-            # a kill mid-apply: process membership first, then apply the
-            # batch to the *survivors* — they all land on the same version
-            # (the failover-consistency contract tests/dyn asserts)
-            for rid in sorted(self.comm.dead - self._known_dead):
-                self._known_dead.add(rid)
-                self._process_kill(rid, batch.at)
-        snap = self.authority.apply(batch)
-        self._batch_log.append((snap.version, batch))
+        if self.comm is not None:
+            touched_shards = self.shard_map.shards_touching(
+                batch.touched_vertices()
+            )
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.add("fabric.mutate.batches")
+                tracer.add("fabric.mutate.touched_shards", len(touched_shards))
+            try:
+                self.comm.bcast(int(batch.size), stage="fabric.mutate")
+            except RankFailure:
+                # a kill mid-apply: process membership first, then apply
+                # the batch to the *survivors* — they all land on the same
+                # version (the failover-consistency contract tests/dyn
+                # asserts)
+                for rid in sorted(self.comm.dead - self._known_dead):
+                    self._known_dead.add(rid)
+                    self._process_kill(rid, batch.at)
+            snap = self.authority.apply(batch)
+            self._batch_log.append((snap.version, batch))
         # full replication: every serving replica holds every touched
         # shard, so the recipient set is the active + draining fleet;
         # dead/recovering replicas replay from the batch log instead
@@ -721,22 +813,7 @@ class ServingFabric:
     def _finish_recovery(self, tr: float, rid: int, kill: KillRecord) -> None:
         cfg = self.config
         csr, alive, version = self.supervisor.restore_shards()
-        terrace = TerraceGraph.from_csr(csr)
-        dead_vertices = np.flatnonzero(~alive)
-        if dead_vertices.size:
-            terrace.delete_vertices(dead_vertices)
-        live = LiveGraph(terrace, version=version)
-        server = QueryServer(
-            live,
-            kernel=cfg.kernel,
-            cache_size=cfg.cache_size,
-            default_timeout=cfg.timeout,
-            max_in_flight=cfg.max_in_flight,
-            tier1_budget_fraction=cfg.tier1_budget_fraction,
-            retry=RetryPolicy(),
-            sanitize=cfg.sanitize,
-        )
-        server.batch.version = version
+        server = self._replica_server(rid, csr, alive, version)
         missed = 0
         for batch_version, batch in self._batch_log:
             if batch_version > version:
@@ -778,13 +855,7 @@ class ServingFabric:
             )
 
     # -- reporting -------------------------------------------------------
-    def _report(self, horizon: float) -> FabricReport:
-        logs = [
-            self._logs[rid]
-            for rid in sorted(
-                self._logs, key=lambda r: (self._logs[r].issued_at, r)
-            )
-        ]
+    def _report(self, horizon: float) -> LoadReport:
         counters: dict[str, int] = {}
         for rid in sorted(self.replicas):
             server = self.replicas[rid].server
@@ -792,36 +863,52 @@ class ServingFabric:
                 continue
             for key, value in server.counters.items():
                 counters[key] = counters.get(key, 0) + value
-        rep = self.comm.report
-        return FabricReport(
-            logs=logs,
+        fleet: dict[str, Any] = {}
+        if self.comm is not None:
+            rep = self.comm.report
+            fleet = {
+                "kills": self.kills,
+                "elastic_events": self.elastic_events,
+                "heartbeats": self._ticks_done,
+                "spills": self.router.spills,
+                "router_rejected": self.router.rejected,
+                "replica_states": {
+                    rid: self.replicas[rid].state for rid in sorted(self.replicas)
+                },
+                "dist": {
+                    "failures": rep.failures,
+                    "supersteps": rep.supersteps,
+                    "checkpoint_units": round(rep.checkpoint_units, 6),
+                    "recovery_units": round(rep.recovery_units, 6),
+                    "checkpoint_bytes": rep.checkpoint_bytes,
+                },
+            }
+        return (FabricReport if fleet else LoadReport)(
+            logs=list(self._logs.values()),
             horizon=horizon,
-            kills=self.kills,
-            elastic_events=self.elastic_events,
             peak_in_flight=self._peak,
             clock_ticks=self._clock.ticks,
             mutation_batches=self._mutations_applied,
-            heartbeats=self._ticks_done,
-            spills=self.router.spills,
-            router_rejected=self.router.rejected,
             server_counters=dict(sorted(counters.items())),
-            replica_states={
-                rid: self.replicas[rid].state for rid in sorted(self.replicas)
-            },
-            dist={
-                "failures": rep.failures,
-                "supersteps": rep.supersteps,
-                "checkpoint_units": round(rep.checkpoint_units, 6),
-                "recovery_units": round(rep.recovery_units, 6),
-                "checkpoint_bytes": rep.checkpoint_bytes,
-            },
             results=self._results,
+            **fleet,
         )
 
 
-def report_row(scenario: str, report: FabricReport) -> dict[str, Any]:
+def report_row(scenario: str, report: LoadReport) -> dict[str, Any]:
     """One JSON-ready row per fabric run — the shared shape of
-    ``peek-fabric`` payloads and ``BENCH_fabric.json``."""
+    ``peek-fabric`` payloads and ``BENCH_fabric.json``.
+
+    A bare run's plain :class:`~repro.load.report.LoadReport` reads as a
+    fleet of one that was never killed: no kills, heartbeats or spills,
+    and every shed a router rejection (a lone replica has no hedges).
+    """
+    if not isinstance(report, FabricReport):
+        report = FabricReport(
+            **{f.name: getattr(report, f.name) for f in fields(LoadReport)},
+            router_rejected=report.count(SHED),
+            replica_states={0: ACTIVE},
+        )
     return {
         "scenario": scenario,
         **report.metrics(),

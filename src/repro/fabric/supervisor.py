@@ -35,7 +35,10 @@ class FabricSupervisor(DistSupervisor):
     """Checkpoint/restore of the authoritative graph, one shard per slot."""
 
     def __init__(self, comm, shard_map, *, store=None, max_recoveries: int = 8):
-        super().__init__(
+        # an explicit base call (not super()) lets repro-contracts resolve
+        # it exactly: constructing a supervisor runs no query code
+        DistSupervisor.__init__(
+            self,
             comm,
             policy="restart",
             checkpoint_interval=1,

@@ -3,7 +3,8 @@
 The load layer answers "what happens to this serving configuration
 under *that* traffic?" reproducibly: arrival processes and query mixes
 (:mod:`~repro.load.arrivals`, :mod:`~repro.load.mixes`) feed a
-discrete-event harness (:mod:`~repro.load.harness`) that drives a real
+discrete-event harness (:mod:`~repro.load.harness`, the one-replica case
+of :class:`~repro.fabric.fabric.ServingFabric`) that drives a real
 :class:`~repro.serve.QueryServer` on a :class:`~repro.load.simclock.SimClock`,
 and the experiment runner (:mod:`~repro.load.runner`) sweeps run tables
 into ``BENCH_serving.json``.  See ``docs/load_testing.md``.
@@ -17,11 +18,31 @@ from repro.load.arrivals import (
     PoissonArrivals,
     arrival_process,
 )
-from repro.load.harness import LoadHarness, LoadReport, QueryLog
 from repro.load.mixes import HotspotMix, KSampler, QueryMix, UniformMix, make_mix
-from repro.load.runner import RunTable, ServerConfig, capacity_summary, run_table
+from repro.load.report import LoadReport, QueryLog
 from repro.load.simclock import CostModel, SimClock, virtual_time
 from repro.load.trace import dump_trace, load_trace, record_open_loop
+
+#: names served by the serving loop's layer (repro.fabric), which is
+#: built on the modules above: resolved on first access, so neither
+#: package has to finish importing before the other
+_LOOP_EXPORTS = {
+    "LoadHarness": "repro.load.harness",
+    "RunTable": "repro.load.runner",
+    "ServerConfig": "repro.load.runner",
+    "run_table": "repro.load.runner",
+    "capacity_summary": "repro.load.runner",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LOOP_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(_LOOP_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "ArrivalProcess",

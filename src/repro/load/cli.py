@@ -28,9 +28,9 @@ import argparse
 import json
 import sys
 
+from repro.fabric.fabric import FabricConfig, ServingFabric
 from repro.graph.suite import SCALES, suite_graph
 from repro.load.arrivals import arrival_process
-from repro.load.harness import LoadHarness
 from repro.load.mixes import make_mix
 from repro.load.runner import TABLES, ServerConfig, run_table, write_outputs
 from repro.load.trace import dump_trace, load_trace, record_open_loop
@@ -167,15 +167,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         tier1_budget_fraction=args.tier1_budget_fraction,
     )
-    harness = LoadHarness(
-        config.build(graph, seed=args.seed),
-        mix=None,  # trace replay carries its own query content
-        timeout=args.timeout,
-        queue_depth=args.queue_depth,
-        seed=args.seed,
-    )
+    # trace replay carries its own query content: no mix
+    fabric = ServingFabric(graph, config=FabricConfig(server=config, seed=args.seed))
     horizon = max((q.issued_at for q in queries), default=0.0) + 1e-9
-    report = harness.run(queries, horizon=horizon)
+    report = fabric.run(queries, horizon=horizon)
     print(json.dumps(report.metrics(), indent=2))
     return 0
 
@@ -183,9 +178,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        # replicated cells clone graphs in ServingFabric.__init__; every
-        # query still validates inside QueryServer.serve
-        return _cmd_run(args)  # contracts: disable=CTR501 (validated in serve)
+        return _cmd_run(args)
     if args.command == "record":
         return _cmd_record(args)
     return _cmd_replay(args)

@@ -2,9 +2,10 @@
 
 A :class:`RunTable` is the cross product *traffic pattern × graph ×
 server config × repetition*; :func:`run_table` drives every cell through
-a fresh :class:`~repro.serve.QueryServer` on simulated time and collects
-one metrics row per cell (the :meth:`~repro.load.harness.LoadReport.metrics`
-dict plus the cell key).  The output payload follows the repo's bench
+a fresh :class:`~repro.fabric.fabric.ServingFabric` on simulated time
+(a single server over the graph as given, or ``config.replicas``
+replicas) and collects one metrics row per cell (the
+:meth:`~repro.load.report.LoadReport.metrics` dict plus the cell key).  The output payload follows the repo's bench
 convention (``BENCH_hot_path.json``): a top-level descriptor plus a flat
 ``rows`` list, so downstream tooling can treat every benchmark file
 alike.
@@ -20,18 +21,17 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from random import Random
 from typing import Any, Callable
 
+from repro.fabric.fabric import FabricConfig, ServerConfig, ServingFabric
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
-from repro.load.harness import DISPOSITIONS, LoadHarness
 from repro.load.mixes import make_mix
+from repro.load.report import DISPOSITIONS
 from repro.load.simclock import CostModel
 from repro.obs.tracer import Tracer, use_tracer
-from repro.serve.server import QueryServer, RetryPolicy
 
 __all__ = [
     "ServerConfig",
@@ -45,47 +45,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2  # v2: rows carry "replicas" + unified "dispositions"
-
-#: decorrelates the server-jitter RNG from the harness streams
-JITTER_STREAM_OFFSET = 0xB7E15162
-
-
-@dataclass(frozen=True)
-class ServerConfig:
-    """One server configuration under test (a run-table axis value).
-
-    ``timeout`` is the *client-side* budget the harness stamps on every
-    query (anchored at arrival, so queue wait burns it); the remaining
-    fields go straight to :class:`~repro.serve.QueryServer`.
-    """
-
-    name: str
-    timeout: float | None = None
-    max_in_flight: int = 4
-    #: harness wait-queue depth (0 = shed on busy, live-server semantics)
-    queue_depth: int = 0
-    tier1_budget_fraction: float | None = None
-    kernel: str = "delta"
-    cache_size: int = 64
-    jitter: float = 0.0
-    #: >1 routes the cell through :class:`~repro.fabric.fabric.ServingFabric`
-    #: (replicated serving; open-loop traffic only, jitter not plumbed)
-    replicas: int = 1
-
-    def build(self, graph, *, seed: int) -> QueryServer:
-        return QueryServer(
-            graph,
-            kernel=self.kernel,
-            cache_size=self.cache_size,
-            default_timeout=self.timeout,
-            max_in_flight=self.max_in_flight,
-            tier1_budget_fraction=self.tier1_budget_fraction,
-            retry=RetryPolicy(jitter=self.jitter),
-            rng=Random(seed + JITTER_STREAM_OFFSET),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -149,47 +108,16 @@ def run_table(
         mix = make_mix(graph, table.mix)
         pattern = arrival_process(dict(spec))
         tracer = Tracer()
-        if config.replicas > 1:
-            # replicated cell: the fabric owns its servers and clock
-            from repro.fabric.fabric import FabricConfig, ServingFabric
-
-            fabric = ServingFabric(
-                graph,
-                mix,
-                config=FabricConfig(
-                    replicas=config.replicas,
-                    timeout=config.timeout,
-                    max_in_flight=config.max_in_flight,
-                    queue_depth=config.queue_depth,
-                    tier1_budget_fraction=config.tier1_budget_fraction,
-                    kernel=config.kernel,
-                    cache_size=config.cache_size,
-                    seed=seed,
-                ),
-                cost_model=cost_model,
+        fabric = ServingFabric(
+            graph,
+            mix,
+            config=FabricConfig(server=config, seed=seed),
+            cost_model=cost_model,
+        )
+        with use_tracer(tracer):
+            report = fabric.run(
+                pattern, horizon=table.horizon, max_queries=table.max_queries
             )
-            with use_tracer(tracer):
-                report = fabric.run(
-                    pattern, horizon=table.horizon, max_queries=table.max_queries
-                )
-            server_counters = report.server_counters
-            dispositions = report.dispositions()
-        else:
-            server = config.build(graph, seed=seed)
-            harness = LoadHarness(
-                server,
-                mix,
-                timeout=config.timeout,
-                queue_depth=config.queue_depth,
-                cost_model=cost_model,
-                seed=seed,
-            )
-            with use_tracer(tracer):
-                report = harness.run(
-                    pattern, horizon=table.horizon, max_queries=table.max_queries
-                )
-            server_counters = dict(server.counters)
-            dispositions = report.dispositions(server.counters)
         row: dict[str, Any] = {
             "traffic": label,
             "graph": graph_name,
@@ -200,9 +128,9 @@ def run_table(
             "offered_qps": round(pattern.mean_rate(), 6),
             **report.metrics(),
         }
-        row["dispositions"] = dispositions
+        row["dispositions"] = report.dispositions()
         row["counters"] = {
-            "server": dict(sorted(server_counters.items())),
+            "server": report.server_counters,
             "trace": tracer.counter_totals(),
         }
         rows.append(row)

@@ -38,6 +38,10 @@ __all__ = [
 
 TRACE_VERSION = 1
 
+#: the mix RNG is decorrelated from the arrival RNG by this offset so one
+#: seed drives both streams (see docs/load_testing.md)
+MIX_STREAM_OFFSET = 0x9E3779B9
+
 
 def dump_trace(
     queries: Iterable[Query],
@@ -120,14 +124,14 @@ def record_open_loop(
 ) -> list[Query]:
     """Materialize an open-loop workload as a query list.
 
-    Uses the same two seeded RNG streams as the live harness (one for
-    arrival times, one for query content — see
-    :class:`~repro.load.harness.LoadHarness`), so recording a workload
-    and replaying the trace drives the server with the identical
-    schedule the live generator would have produced.
+    Two seeded RNG streams: one for arrival times, one for query
+    content.  This is the generator every open-loop serving run uses
+    (:meth:`ServingFabric.run <repro.fabric.fabric.ServingFabric.run>`),
+    so recording a workload and replaying the trace drives the server
+    with the identical schedule.
     """
     rng_arrivals = Random(seed)
-    rng_mix = Random(seed + 0x9E3779B9)  # decorrelated stream, same seed
+    rng_mix = Random(seed + MIX_STREAM_OFFSET)
     out: list[Query] = []
     for i, t in enumerate(process.arrivals(rng_arrivals, horizon)):
         if max_queries is not None and i >= max_queries:

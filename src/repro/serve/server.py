@@ -265,6 +265,9 @@ class QueryServer:
             versioned=self.live is not None,
             sanitize=bool(sanitize),
         )
+        if self.live is not None:
+            # answers are stamped with the version the graph starts at
+            self.batch.version = self.live.version
         self.use_workspace = use_workspace
         self.default_timeout = default_timeout
         self.retry = retry if retry is not None else RetryPolicy()

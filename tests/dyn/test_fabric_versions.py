@@ -10,12 +10,13 @@ import pytest
 
 from repro.distributed.comm import FaultPlan
 from repro.dyn.live import LiveGraph
-from repro.dyn.stream import IncidentStream
+from repro.dyn.stream import IncidentStream, MutationBatch
 from repro.fabric.fabric import FabricConfig, ServingFabric
 from repro.fabric.replica import ACTIVE
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
+from repro.serve.server import QueryServer
 
 
 class TestLiveGraphVersionSeed:
@@ -34,12 +35,42 @@ class TestLiveGraphVersionSeed:
         graph = suite_graph("LJ", "tiny")
         assert LiveGraph(graph).version == 0
 
+    def test_server_stamps_the_start_version(self):
+        """A server over a graph that starts at version 5 answers at
+        version 5, not 0."""
+        server = QueryServer(LiveGraph(suite_graph("LJ", "tiny"), version=5))
+        assert server.batch.version == 5
+        assert server.serve(0, 5, 2).graph_version == 5
+
+
+class TestMutationFeed:
+    def test_next_batch_drawn_after_previous_applied(self):
+        """The feed is lazy: batch i+1 is drawn only once batch i is on
+        the authority, so a stream sampling the current graph (as
+        IncidentStream.batches does) sees the state it will apply to."""
+        graph = suite_graph("LJ", "tiny")
+        fabric = ServingFabric(graph, config=FabricConfig(seed=0))
+        u, v = int(graph.edge_sources()[0]), int(graph.indices[0])
+        w = float(graph.weights[0])
+        drawn_at: list[int] = []
+
+        def batches():
+            for i in range(3):
+                drawn_at.append(fabric.authority.version)
+                yield MutationBatch.build(
+                    reweights=[(u, v, w * (i + 2))], at=0.1 * (i + 1)
+                )
+
+        report = fabric.run([], horizon=0.5, mutations=batches())
+        assert report.mutation_batches == 3
+        assert drawn_at == [0, 1, 2]
+
 
 class TestKillDuringMutations:
     @pytest.fixture(scope="class")
     def outcome(self):
         graph = suite_graph("LJ", "tiny")
-        config = FabricConfig(replicas=3, seed=0)
+        config = FabricConfig(seed=0)
         plan = FaultPlan.from_specs(["fabric.mutate:rankfail:2@R2"], seed=0)
         fabric = ServingFabric(
             graph,

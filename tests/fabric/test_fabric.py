@@ -5,13 +5,23 @@ import json
 import pytest
 
 from repro.distributed.comm import FaultPlan
+from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
+from repro.fabric.cli import main as fabric_main
 from repro.fabric.elastic import ElasticPolicy
-from repro.fabric.fabric import FabricConfig, ServingFabric, report_row
+from repro.fabric.fabric import (
+    FabricConfig,
+    FabricReport,
+    ServerConfig,
+    ServingFabric,
+    report_row,
+)
 from repro.fabric.replica import ACTIVE, STANDBY
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
+from repro.load.report import LoadReport
+from repro.serve.server import QueryServer
 
 KILL = "fabric.heartbeat:rankfail:3@R1"
 MIX = {"kind": "hotspot", "scc": True, "k": {"dist": "small_heavy", "k_max": 4}}
@@ -24,7 +34,7 @@ def graph():
 
 
 def build(graph, *, inject=None, seed=0, **over):
-    config = FabricConfig(replicas=3, seed=seed, **over)
+    config = FabricConfig(seed=seed, **over)
     plan = FaultPlan.from_specs(inject, seed=seed) if inject else None
     return ServingFabric(
         graph, make_mix(graph, dict(MIX)), config=config, fault_plan=plan
@@ -190,7 +200,6 @@ class TestElasticPolicy:
         fabric = build(
             graph,
             max_replicas=5,
-            min_replicas=2,
             elastic=ElasticPolicy(min_replicas=2),
         )
         report = fabric.run(
@@ -211,11 +220,116 @@ class TestElasticPolicy:
         assert "scale_down" in actions
 
 
-class TestGuards:
-    def test_closed_loop_rejected(self, graph):
-        fabric = build(graph)
-        with pytest.raises(ValueError, match="open-loop"):
-            fabric.run(
-                arrival_process({"kind": "closed", "users": 4, "think_mean": 0.01}),
-                horizon=0.1,
+class TestPeakInFlight:
+    def test_counts_queued_queries_at_arrival(self, graph):
+        """peak_in_flight is occupancy at each arrival instant: a query
+        still waiting in a replica queue counts, as admission control
+        and the closed-loop bound assume."""
+        report = build(graph).run(
+            arrival_process({"kind": "poisson", "rate": 3000.0}),
+            horizon=0.2,
+            max_queries=200,
+        )
+        served = [log for log in report.logs if log.served]
+        assert any(log.queue_time > 0 for log in served)
+        expected = max(
+            1 + sum(
+                1 for prior in served[:i]
+                if prior.issued_at + prior.latency > log.issued_at
             )
+            for i, log in enumerate(served)
+        )
+        assert report.peak_in_flight == expected
+
+
+CLOSED = {"kind": "closed", "users": 12, "think_mean": 0.01}
+
+
+class TestClosedLoop:
+    """Closed-loop populations run on the fleet; only a kill plan,
+    whose hedges would move the instants think times anchor on, is
+    refused."""
+
+    def test_reruns_byte_identical_and_bounded(self, graph):
+        def once():
+            report = build(graph).run(
+                arrival_process(dict(CLOSED)), horizon=0.3, max_queries=150
+            )
+            return report, json.dumps(report_row("closed", report))
+
+        (report, row), (_, again) = once(), once()
+        assert row == again
+        assert report.logs
+        assert report.peak_in_flight <= CLOSED["users"]
+
+    def test_every_query_gets_one_disposition(self, graph):
+        report = build(graph).run(
+            arrival_process(dict(CLOSED)), horizon=0.3, max_queries=150
+        )
+        ids = [log.request_id for log in report.logs]
+        assert ids == [f"q{i:06d}" for i in range(len(ids))]
+        d = report.dispositions()
+        assert d["issued"] == len(ids) == sum(
+            d[k] for k in ("complete", "degraded", "partial", "failed",
+                           "shed", "expired")
+        )
+
+    def test_closed_loop_with_kill_plan_rejected(self, graph):
+        fabric = build(graph, inject=[KILL])
+        with pytest.raises(ValueError, match="kill plan"):
+            fabric.run(arrival_process(dict(CLOSED)), horizon=0.1)
+
+
+ONE = FabricConfig(server=ServerConfig(name="one", timeout=0.5))
+
+
+class TestSingleReplica:
+    """One replica and no fault plan is a single server over the graph
+    as given; the fleet-facing entry points still accept it."""
+
+    @pytest.mark.parametrize("mutations", [False, True])
+    def test_cli_serves_one_replica(self, tmp_path, mutations):
+        out = tmp_path / "one.json"
+        argv = ["--replicas", "1", "--horizon", "0.2", "--max-queries", "60",
+                "--quiet", "--json", str(out)]
+        assert fabric_main(argv + (["--mutations"] if mutations else [])) == 0
+        row = json.loads(out.read_text())["rows"][0]
+        assert row["kills"] == 0 and row["heartbeats"] == 0
+        assert row["replica_states"] == {"0": ACTIVE}
+        assert row["router_rejected"] == row["dispositions"]["shed"]
+        assert row["dispositions"]["issued"] == row["queries"] > 0
+        assert (row["mutation_batches"] > 0) == mutations
+
+    def test_report_row_reads_a_bare_report(self, graph):
+        fabric = ServingFabric(graph, make_mix(graph, dict(MIX)), config=ONE)
+        report = run(fabric, horizon=0.2, max_queries=60)
+        assert type(report) is LoadReport
+        row = report_row("one", report)
+        assert row["kill_records"] == [] and row["recovery_window"] == {}
+        assert row["availability"] == report.dispositions()["availability"]
+
+    def test_static_single_server_refuses_mutations(self, graph):
+        fabric = ServingFabric(graph, make_mix(graph, dict(MIX)), config=ONE)
+        assert fabric.authority is None
+        batches = list(
+            IncidentStream(seed=0, rate=40.0).batches(LiveGraph(graph), 0.2)
+        )
+        with pytest.raises(ValueError, match="live graph"):
+            run(fabric, horizon=0.2, mutations=batches)
+
+    def test_caller_server_runs_alone(self, graph):
+        server = QueryServer(graph)
+        with pytest.raises(ValueError, match="runs alone"):
+            ServingFabric(server=server, config=FabricConfig())
+        with pytest.raises(ValueError, match="runs alone"):
+            ServingFabric(
+                server=server, config=ONE,
+                fault_plan=FaultPlan.from_specs([KILL], seed=0),
+            )
+        with pytest.raises(TypeError):
+            ServingFabric()
+        with pytest.raises(TypeError):
+            ServingFabric(graph, server=server)
+        assert isinstance(
+            run(build(graph), horizon=0.1, max_queries=20), FabricReport
+        )

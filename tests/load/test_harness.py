@@ -4,17 +4,23 @@ Everything here runs on :class:`SimClock` — no assertion in this file
 depends on the wall clock, which is the point of the subsystem.
 """
 
-from random import Random
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.graph.build import from_edge_list
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import ClosedLoop, PoissonArrivals
-from repro.load.harness import (
+from repro.load.harness import LoadHarness
+from repro.load.report import (
     DISPOSITIONS,
     EXPIRED,
     SHED,
-    LoadHarness,
     QueryLog,
     disposition_summary,
     percentile,
@@ -143,6 +149,31 @@ class TestOpenLoop:
         report = h.run(PoissonArrivals(200.0), horizon=0.3)
         assert report.count(DEGRADED) > 0
 
+    def test_serves_the_callers_server(self, graph):
+        server = QueryServer(graph, max_in_flight=2)
+        h = LoadHarness(server, UniformMix(graph, k=KSampler(k_max=4)),
+                        timeout=0.5, seed=11)
+        report = h.run(PoissonArrivals(300.0), horizon=0.1)
+        assert h.replicas[0].server is server and server.live is None
+        served = [log for log in report.logs if log.served]
+        assert served and {log.replica for log in served} == {0}
+        assert sum(server.counters[o] for o in ("complete", "degraded",
+                                                "partial", "failed")) == len(served)
+
+    def test_graph_smaller_than_the_shard_count(self):
+        # a lone server is not sharded: a 3-vertex graph serves fine
+        tiny = from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        report = LoadHarness(QueryServer(tiny)).run(
+            [Query(0, 2, 1, request_id="a")], horizon=0.1
+        )
+        assert report.count("complete") == 1
+
+    def test_trace_needs_unique_ids(self, graph):
+        # hand-built queries default to request_id "": the run names it
+        h = make_harness(graph)
+        with pytest.raises(ValueError, match="request_id ''"):
+            h.run([Query(0, 2, 1), Query(1, 3, 1)], horizon=0.1)
+
     def test_needs_a_mix(self, graph):
         h = LoadHarness(QueryServer(graph), mix=None)
         with pytest.raises(ValueError, match="query mix"):
@@ -266,5 +297,20 @@ class TestDispositionSummary:
         h = make_harness(graph, timeout=0.02, seed=9, max_in_flight=2)
         report = h.run(PoissonArrivals(800.0), horizon=0.1, max_queries=80)
         assert report.dispositions() == disposition_summary(report.logs)
-        merged = report.dispositions({"shed": 2})
-        assert merged["issued"] == disposition_summary(report.logs)["issued"] + 2
+        merged = dataclasses.replace(report, server_counters={"shed": 2})
+        assert (
+            merged.dispositions()["issued"]
+            == disposition_summary(report.logs)["issued"] + 2
+        )
+
+
+@pytest.mark.parametrize("first", ["repro.fabric.fabric", "repro.load.harness"])
+def test_either_layer_imports_first(first):
+    """repro.load's loop exports resolve lazily: no import-order cycle."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = f"import {first}; from repro.load import LoadHarness, run_table"
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )

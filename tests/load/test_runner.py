@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.load.harness import DISPOSITIONS
+from repro.fabric.fabric import FabricConfig, ServingFabric
+from repro.graph.suite import suite_graph
+from repro.load.report import DISPOSITIONS
 from repro.load.runner import (
     RunTable,
     ServerConfig,
@@ -211,3 +213,47 @@ class TestReplicasAxis:
     def test_replicated_cell_reproducible(self, rep_payload):
         again = run_table(REPLICATED)
         assert json.dumps(rep_payload, indent=2) == json.dumps(again, indent=2)
+
+
+#: a replicated cell with retry jitter: every replica server carries it
+JITTERED = ServerConfig(
+    name="jitter2", timeout=0.5, max_in_flight=2, jitter=0.25, replicas=2
+)
+
+
+class TestJitterPlumbing:
+    def test_replica_servers_carry_jitter_and_rng(self):
+        graph = suite_graph("LJ", "tiny")
+        fabric = ServingFabric(
+            graph, config=FabricConfig(server=JITTERED, seed=5)
+        )
+        servers = [r.server for r in fabric.replicas.values()]
+        assert len(servers) == 2
+        for server in servers:
+            assert server.retry.jitter == 0.25
+            assert server._rng is not None
+        # decorrelated per replica, but a pure function of the seed
+        draws = [s._rng.random() for s in servers]
+        assert draws[0] != draws[1]
+        again = ServingFabric(graph, config=FabricConfig(server=JITTERED, seed=5))
+        assert [r.server._rng.random() for r in again.replicas.values()] == draws
+
+    def test_jittered_cell_reruns_byte_identical(self):
+        import dataclasses
+
+        table = dataclasses.replace(REPLICATED, configs=(JITTERED,))
+        a, b = run_table(table), run_table(table)
+        assert json.dumps(a, indent=2) == json.dumps(b, indent=2)
+        assert a["configs"][0]["jitter"] == 0.25
+
+
+class TestSingleServerCell:
+    def test_static_graph_served_as_given(self):
+        graph = suite_graph("LJ", "tiny")
+        fabric = ServingFabric(
+            graph, config=FabricConfig(server=ServerConfig(name="one"))
+        )
+        (replica,) = fabric.replicas.values()
+        assert replica.server.graph is graph
+        assert replica.server.live is None
+        assert fabric.comm is None  # no heartbeats for a lone server

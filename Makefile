@@ -18,15 +18,15 @@ test-fast:
 test-slow:
 	REPRO_RUN_SLOW=1 $(PYTHON) -m pytest -q -m slow
 
-## Lint (CI runs this; requires ruff, which is not a runtime dependency).
-## repro-lint is the repo-specific AST pass (rules RPR001-RPR005; see
-## docs/correctness_tooling.md).
+## Lint (CI runs this; requires ruff, which is not a runtime dependency):
+## ruff for generic hygiene, then the repo's own static analyzer.
 lint: contracts
 	ruff check src tests
-	$(PYTHON) -m repro.analysis.lint src
 
-## Whole-program contract analyzer (rules CTR101-CTR501; see
-## docs/correctness_tooling.md).  Fails on any finding not in the
+## The repo's one static analyzer: whole-program contract passes
+## (CTR101-CTR501), the intraprocedural local rules (RPR001,
+## RPR003-RPR005) and unused-pragma checks (CTR001); see
+## docs/correctness_tooling.md.  Fails on any finding not in the
 ## checked-in baseline; also refreshes the coverage self-report.
 contracts:
 	$(PYTHON) -m repro.analysis.contracts --baseline contracts_baseline.json \

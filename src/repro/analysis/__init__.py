@@ -1,11 +1,13 @@
-"""Correctness tooling: lint, runtime sanitizers, and race detection.
+"""Correctness tooling: static analysis, runtime sanitizers, race detection.
 
 Three legs, one shared :class:`~repro.analysis.findings.Finding` record
 (see ``docs/correctness_tooling.md`` for the full catalogue):
 
-* :mod:`repro.analysis.lint` — AST lint with repo-specific rules
-  RPR001–RPR005 (``python -m repro.analysis.lint src/`` or the
-  ``repro-lint`` console script);
+* :mod:`repro.analysis.contracts` — the one static analyzer: whole-program
+  contract passes (CTR101–CTR501) plus the intraprocedural local rules
+  (RPR001, RPR003–RPR005), under one pragma dialect and one baseline
+  (``python -m repro.analysis.contracts src/repro`` or the
+  ``repro-contracts`` console script);
 * :mod:`repro.analysis.sanitize` — runtime invariant checks enabled by
   ``repro.solve(..., sanitize=True)`` or ``RPR_SANITIZE=1``;
 * :mod:`repro.analysis.race` — vector-clock race detection over declared

@@ -1,10 +1,11 @@
 """Orchestration: load → call graph → passes, with incremental caching.
 
-Full mode parses every module, builds the call graph, and runs the five
-passes over everything.  Incremental mode (``--incremental``) keeps a
-small JSON cache mapping each module to a *validity key* and its last
-findings; a module whose key still matches is skipped by the passes and
-its cached findings replayed.
+Full mode parses every module, builds the call graph, runs the six
+passes over everything, and applies the ``# contracts: disable=``
+pragmas, reporting any pragma that suppressed nothing.  Incremental
+mode (``--incremental``) keeps a small JSON cache mapping each module
+to a *validity key* and its last findings; a module whose key still
+matches is skipped by the passes and its cached findings replayed.
 
 The key is what makes "incremental agrees with full" a theorem rather
 than a hope.  It digests
@@ -40,12 +41,19 @@ from repro.analysis.contracts.callgraph import build_callgraph
 from repro.analysis.contracts.cancellation import cancellation_reachable
 from repro.analysis.contracts.config import ContractConfig, default_config
 from repro.analysis.contracts.model import Project, load_project
-from repro.analysis.contracts.registry import PASSES, PassContext
+from repro.analysis.contracts.registry import (
+    CATALOGUE,
+    PASSES,
+    UNUSED_PRAGMA,
+    PassContext,
+)
 from repro.analysis.findings import Finding
 
 __all__ = ["AnalysisResult", "analyze_paths", "CACHE_VERSION"]
 
-CACHE_VERSION = 1
+#: bumped whenever a module's findings can change for an unchanged key —
+#: e.g. a new pass, so an old cache is never replayed as clean
+CACHE_VERSION = 2
 
 
 @dataclass
@@ -121,23 +129,48 @@ def _module_keys(project, graph, config, ctx) -> dict[str, str]:
     return keys
 
 
-def _suppress(findings, project) -> tuple[list[Finding], dict[str, int]]:
-    """Apply ``# contracts: disable=`` pragmas; returns kept + per-module count."""
+def _suppress(findings, project, check_modules) -> tuple[list[Finding], dict[str, int]]:
+    """Apply ``# contracts: disable=`` pragmas; returns kept + per-module count.
+
+    A pragma in ``check_modules`` that suppressed nothing comes back as
+    an ``UNUSED_PRAGMA`` finding: a stale suppression would otherwise sit
+    silently until it hides the next real finding on its statement.
+    """
     by_module = project.by_module()
     kept: list[Finding] = []
     suppressed: dict[str, int] = {}
+    used: set[tuple[str, int]] = set()
     for f in findings:
         module = str(f.context.get("module", ""))
         mod = by_module.get(module)
-        rules = (
-            mod.disabled.get(f.line, frozenset())
+        hits = (
+            [p.line for p in mod.pragmas if p.suppresses(f.rule, f.line)]
             if mod is not None and f.line is not None
-            else frozenset()
+            else []
         )
-        if f.rule in rules or "ALL" in rules:
+        if hits:
             suppressed[module] = suppressed.get(module, 0) + 1
+            used.update((module, line) for line in hits)
         else:
             kept.append(f)
+    for module in check_modules:
+        mod = by_module[module]
+        for p in mod.pragmas:
+            if (module, p.line) not in used:
+                kept.append(
+                    Finding(
+                        tool="contracts",
+                        rule=UNUSED_PRAGMA,
+                        severity="error",
+                        message=(
+                            f"`disable={','.join(sorted(p.rules))}` pragma "
+                            "suppresses no finding; delete it"
+                        ),
+                        path=mod.path,
+                        line=p.line,
+                        context={"module": module},
+                    )
+                )
     return kept, suppressed
 
 
@@ -197,7 +230,7 @@ def analyze_paths(
     for info in PASSES:
         run_pass = info.run
         fresh.extend(run_pass(ctx, only_modules=None if not clean else dirty))
-    fresh, suppressed_by_mod = _suppress(fresh, project)
+    fresh, suppressed_by_mod = _suppress(fresh, project, sorted(dirty))
 
     findings: list[Finding] = []
     suppressed_total = 0
@@ -232,12 +265,10 @@ def analyze_paths(
     rule_counts: dict[str, int] = {}
     for f in findings:
         rule_counts[f.rule] = rule_counts.get(f.rule, 0) + 1
-    pass_of_rule = {r: info.pass_id for info in PASSES for r in info.rules}
-    pass_counts = {info.pass_id: 0 for info in PASSES}
+    pass_of_rule = {r: pass_id for pass_id, _, rules in CATALOGUE for r in rules}
+    pass_counts = {pass_id: 0 for pass_id, _, _ in CATALOGUE}
     for f in findings:
-        pass_counts[pass_of_rule.get(f.rule, "other")] = (
-            pass_counts.get(pass_of_rule.get(f.rule, "other"), 0) + 1
-        )
+        pass_counts[pass_of_rule[f.rule]] += 1
     stats = {
         "modules": len(project.modules),
         "functions": sum(1 for _ in project.functions()),

@@ -25,7 +25,7 @@ from repro.analysis.contracts.baseline import (
     stale_entries,
     write_baseline,
 )
-from repro.analysis.contracts.registry import PASSES, RULES
+from repro.analysis.contracts.registry import CATALOGUE, RULES
 from repro.analysis.contracts.report import write_report
 from repro.analysis.contracts.sarif import findings_to_sarif
 from repro.analysis.findings import findings_to_json, render_findings
@@ -86,9 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _list_rules() -> str:
     lines = []
-    for info in PASSES:
-        lines.append(f"{info.pass_id}: {info.title}")
-        for rule in info.rules:
+    for pass_id, title, rules in CATALOGUE:
+        lines.append(f"{pass_id}: {title}")
+        for rule in rules:
             lines.append(f"  {rule}  {RULES[rule]}")
     return "\n".join(lines)
 
@@ -98,6 +98,9 @@ def main(argv=None) -> int:
     if args.list_rules:
         print(_list_rules())
         return 0
+    if args.write_baseline and not args.baseline:
+        print("repro-contracts: --write-baseline needs --baseline FILE", file=sys.stderr)
+        return 2
     for p in args.paths:
         if not Path(p).exists():
             print(f"repro-contracts: no such path: {p}", file=sys.stderr)
@@ -114,7 +117,7 @@ def main(argv=None) -> int:
     if args.report:
         write_report(result, args.report)
 
-    if args.baseline and args.write_baseline:
+    if args.write_baseline:
         write_baseline(args.baseline, result.findings)
         print(
             f"wrote {len(result.findings)} finding(s) to {args.baseline}",

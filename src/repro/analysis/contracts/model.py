@@ -1,8 +1,8 @@
 """Project loading: modules, functions, and raw call sites.
 
 The analyzer works on a *project* — a set of parsed modules treated as
-one program.  Like the lint pass, nothing here imports the library under
-analysis; a tree that does not import cleanly must still analyze.
+one program.  Nothing here imports the library under analysis; a tree
+that does not import cleanly must still analyze.
 
 Module paths are repo-relative (``repro/serve/server.py``), anchored at
 the last ``repro`` path component, and overridable per file with a
@@ -17,11 +17,9 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.pragmas import expand_disabled_lines, parse_pragmas
+from repro.analysis.pragmas import Pragma, attach_pragmas, parse_pragmas
 
 __all__ = ["CallSite", "FunctionInfo", "ModuleInfo", "Project", "load_project"]
-
-PRAGMA_TOOL = "contracts"
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,8 @@ class ModuleInfo:
     tree: ast.Module
     sha: str
     functions: list[FunctionInfo] = field(default_factory=list)
-    disabled: dict[int, frozenset[str]] = field(default_factory=dict)
+    #: the module's ``disable=`` pragmas with their suppression spans
+    pragmas: list[Pragma] = field(default_factory=list)
     #: module-level ``NAME = {"k": fn, ...}`` dispatch tables
     dispatch_tables: dict[str, list[str]] = field(default_factory=dict)
     #: class name → list of syntactic base-class names
@@ -252,7 +251,7 @@ def load_source(
     source: str, filename: str, *, module: str | None = None
 ) -> ModuleInfo:
     """Parse one source string into a :class:`ModuleInfo`."""
-    raw_disabled, override = parse_pragmas(source, PRAGMA_TOOL)
+    raw_disabled, override = parse_pragmas(source)
     mod_path = _module_path(filename, module or override)
     sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
     try:
@@ -272,7 +271,7 @@ def load_source(
         source=source,
         tree=tree,
         sha=sha,
-        disabled=expand_disabled_lines(tree, raw_disabled),
+        pragmas=attach_pragmas(tree, raw_disabled),
     )
     _collect_imports(mod)
     _FunctionCollector(mod).visit(tree)

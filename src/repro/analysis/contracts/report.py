@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.contracts.registry import PASSES, RULES
+from repro.analysis.contracts.registry import CATALOGUE, RULES
 
 __all__ = ["render_report", "write_report"]
 
@@ -35,10 +35,9 @@ def render_report(result) -> str:
         "findings by pass",
     ]
     by_pass = s.get("by_pass", {})
-    for info in PASSES:
+    for pass_id, _, rules in CATALOGUE:
         lines.append(
-            f"  {info.pass_id:<13} ({'/'.join(info.rules)}): "
-            f"{by_pass.get(info.pass_id, 0)}"
+            f"  {pass_id:<13} ({'/'.join(rules)}): {by_pass.get(pass_id, 0)}"
         )
     by_rule = s.get("by_rule", {})
     if by_rule:

@@ -1,10 +1,10 @@
 """Pass 3 — interprocedural span pairing (CTR301).
 
-Lint rule RPR002 already insists that a tracer span opened with
-``__enter__`` is closed in the *same function, lexically*.  Real code
-outgrew that: a span handle is opened in one function and handed to a
-helper that closes it, or stashed until a later phase.  This pass
-upgrades the check to CFG paths across function boundaries:
+A tracer span opened with ``__enter__`` must be closed on every path,
+and real code does not always close it in the same function: a span
+handle is opened in one function and handed to a helper that closes
+it, or stashed until a later phase.  This pass checks the pairing on
+CFG paths across function boundaries:
 
 * a *manual open* is ``handle = <obj>.span(...)`` (optionally chained
   with ``.__enter__()``) outside a ``with`` header — ``with`` pairs

@@ -1,16 +1,17 @@
 """The common finding record shared by every correctness tool.
 
-The three legs of :mod:`repro.analysis` — the AST lint pass, the runtime
-sanitizer, and the simulated-race detector — all report through one
-structured :class:`Finding` type, so a CI job, a test helper, or a human
-reading a terminal sees the same shape regardless of which tool spoke:
+The three legs of :mod:`repro.analysis` — the static analyzer, the
+runtime sanitizer, and the simulated-race detector — all report through
+one structured :class:`Finding` type, so a CI job, a test helper, or a
+human reading a terminal sees the same shape regardless of which tool
+spoke:
 
-    src/repro/ksp/yen.py:42:8: RPR003 error [lint] O(n) np.full inside ...
+    src/repro/ksp/yen.py:42:8: RPR003 error [contracts] np.full(...) inside ...
 
 Severity is ordinal (``error`` > ``warning`` > ``note``); the shared
 :func:`worst_severity` / :func:`exit_code` helpers give every tool the same
 pass/fail semantics.  Nothing here imports the rest of the library — the
-lint CLI must be runnable on a tree that does not import cleanly.
+static analyzer must be runnable on a tree that does not import cleanly.
 """
 
 from __future__ import annotations
@@ -38,17 +39,18 @@ class Finding:
     Attributes
     ----------
     tool:
-        Which leg produced it: ``"lint"``, ``"sanitize"`` or ``"race"``.
+        Which leg produced it: ``"contracts"``, ``"sanitize"`` or ``"race"``.
     rule:
-        Stable identifier — a lint rule id (``RPR001``...), a sanitizer
-        check id (``SAN-...``), or a race class (``RACE-WW`` / ``RACE-RW``).
+        Stable identifier — a static rule id (``CTR201``, ``RPR001``...),
+        a sanitizer check id (``SAN-...``), or a race class (``RACE-WW`` /
+        ``RACE-RW``).
     severity:
         One of :data:`SEVERITIES`.
     message:
         Human-readable description naming the offending object (vertex,
         edge, expression) so the report is actionable without re-running.
     path, line, column:
-        Source location for lint findings (``None`` for runtime findings).
+        Source location for static findings (``None`` for runtime findings).
     context:
         Free-form extra detail — the conflicting tasks of a race, the
         resource key, the epoch numbers of a stale workspace read.
@@ -118,5 +120,5 @@ def render_findings(findings, *, header: str | None = None) -> str:
 
 
 def findings_to_json(findings) -> str:
-    """The findings as a JSON array (the lint CLI's ``--format json``)."""
+    """The findings as a JSON array (the analyzer's ``--format json``)."""
     return json.dumps([f.to_dict() for f in findings], indent=2)

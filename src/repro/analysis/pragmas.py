@@ -1,15 +1,14 @@
-"""Suppression pragmas shared by the static-analysis tools.
+"""Suppression pragmas of the contract analyzer.
 
-Both AST tools in :mod:`repro.analysis` — the per-function lint pass
-(``# repro-lint: disable=RPR003``) and the whole-program contract
-analyzer (``# contracts: disable=CTR201``) — speak the same pragma
-dialect, differing only in the tool tag:
+One comment dialect, read only from real comments (``tokenize``
+COMMENT tokens — text in a string or docstring that merely looks like
+a pragma is inert):
 
-* ``# <tool>: disable=ID1,ID2`` (or ``disable=all``) suppresses the
+* ``# contracts: disable=ID1,ID2`` (or ``disable=all``) suppresses the
   named rules;
-* ``# <tool>: module=repro/ksp/foo.py`` overrides the inferred module
-  path (the fixture corpora use it to exercise path-scoped rules from
-  outside the source tree).
+* ``# contracts: module=repro/ksp/foo.py`` overrides the inferred
+  module path (the fixture corpora use it to exercise path-scoped rules
+  from outside the source tree).
 
 Statement-span expansion
 ------------------------
@@ -19,7 +18,7 @@ found on any line of
 
 * a **simple statement** spanning several lines (a wrapped call, a
   parenthesised assignment) suppresses findings reported anywhere in
-  that statement — tools report at the expression start, which is often
+  that statement — rules report at the expression start, which is often
   not the line carrying the trailing comment;
 * the **decorator or header lines of a ``def`` / ``class``** suppresses
   findings anywhere inside that definition — decorators shift
@@ -31,15 +30,20 @@ found on any line of
   everything inside the loop.
 
 A pragma on a line belonging to no statement (a standalone comment)
-applies to that line alone, preserving the historical behaviour.
+applies to that line alone.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
+from dataclasses import dataclass
 
-__all__ = ["parse_pragmas", "expand_disabled_lines", "pragma_re"]
+__all__ = ["Pragma", "parse_pragmas", "attach_pragmas"]
+
+_PRAGMA_RE = re.compile(r"#\s*contracts:\s*(disable|module)\s*=\s*([\w./,\- ]+)")
 
 _COMPOUND = (
     ast.For,
@@ -54,35 +58,49 @@ _COMPOUND = (
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def pragma_re(tool: str) -> re.Pattern:
-    """The pragma pattern for one tool tag (``repro-lint``, ``contracts``)."""
-    return re.compile(
-        rf"#\s*{re.escape(tool)}:\s*(disable|module)\s*=\s*([\w./,\- ]+)"
-    )
+@dataclass(frozen=True)
+class Pragma:
+    """One ``disable=`` pragma and the line span it suppresses."""
+
+    line: int  # the comment's own line
+    rules: frozenset[str]
+    first: int
+    last: int
+
+    def suppresses(self, rule: str, line: int) -> bool:
+        return self.first <= line <= self.last and (
+            rule in self.rules or "ALL" in self.rules
+        )
 
 
-def parse_pragmas(
-    source: str, tool: str
-) -> tuple[dict[int, frozenset[str]], str | None]:
+def parse_pragmas(source: str) -> tuple[dict[int, frozenset[str]], str | None]:
     """Raw per-line disabled-rule sets and the optional module override.
 
     The returned mapping is *unexpanded* — pass it through
-    :func:`expand_disabled_lines` with the parsed tree to apply the
-    statement-span semantics documented above.
+    :func:`attach_pragmas` with the parsed tree to apply the
+    statement-span semantics documented above.  A tokenize error ends
+    the scan (the caller reports the syntax error itself).
     """
-    pattern = pragma_re(tool)
     disabled: dict[int, frozenset[str]] = {}
     module_override: str | None = None
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = pattern.search(line)
-        if not m:
-            continue
-        kind, value = m.group(1), m.group(2)
-        if kind == "module":
-            module_override = value.strip()
-        else:
-            rules = frozenset(v.strip().upper() for v in value.split(","))
-            disabled[lineno] = disabled.get(lineno, frozenset()) | rules
+    if "contracts:" not in source:
+        return disabled, module_override
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type != tokenize.COMMENT:
+                continue
+            m = _PRAGMA_RE.search(tok.string)
+            if not m:
+                continue
+            kind, value = m.group(1), m.group(2)
+            if kind == "module":
+                module_override = value.strip()
+            else:
+                line = tok.start[0]
+                rules = frozenset(v.strip().upper() for v in value.split(","))
+                disabled[line] = disabled.get(line, frozenset()) | rules
+    except (tokenize.TokenError, SyntaxError):
+        pass
     return disabled, module_override
 
 
@@ -97,9 +115,7 @@ def _statement_spans(tree: ast.AST) -> list[tuple[int, int, int]]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.stmt):
             continue
-        end = getattr(node, "end_lineno", None)
-        if end is None:  # pragma: no cover - py<3.8 only
-            continue
+        end = node.end_lineno
         start = node.lineno
         decorators = getattr(node, "decorator_list", [])
         if decorators:
@@ -120,33 +136,24 @@ def _statement_spans(tree: ast.AST) -> list[tuple[int, int, int]]:
     return spans
 
 
-def expand_disabled_lines(
-    tree: ast.AST, raw: dict[int, frozenset[str]]
-) -> dict[int, frozenset[str]]:
-    """Expand raw pragma lines over the statements carrying them.
+def attach_pragmas(tree: ast.AST, raw: dict[int, frozenset[str]]) -> list[Pragma]:
+    """Attach raw pragma lines to the statements carrying them.
 
     For each pragma line, the innermost statement whose *attach* region
-    contains it claims the pragma, and the pragma's rules are disabled
-    on every line of that statement's *suppress* span.  Unclaimed pragma
-    lines keep line-local scope.
+    contains it claims the pragma, which then suppresses its rules over
+    that statement's *suppress* span.  Unclaimed pragma lines keep
+    line-local scope.
     """
+    if not raw:
+        return []
     spans = _statement_spans(tree)
-    out: dict[int, frozenset[str]] = {}
-
-    def add(line: int, rules: frozenset[str]) -> None:
-        out[line] = out.get(line, frozenset()) | rules
-
-    for pragma_line, rules in raw.items():
-        claimed = [
-            (start, attach_end, sup_end)
-            for start, attach_end, sup_end in spans
-            if start <= pragma_line <= attach_end
-        ]
+    pragmas: list[Pragma] = []
+    for line in sorted(raw):
+        claimed = [s for s in spans if s[0] <= line <= s[1]]
         if not claimed:
-            add(pragma_line, rules)
+            pragmas.append(Pragma(line, raw[line], line, line))
             continue
         # innermost claimant: latest start, then tightest suppression span
         start, _, sup_end = max(claimed, key=lambda s: (s[0], -(s[2] - s[0])))
-        for line in range(start, sup_end + 1):
-            add(line, rules)
-    return out
+        pragmas.append(Pragma(line, raw[line], start, sup_end))
+    return pragmas

@@ -297,7 +297,7 @@ def check_result_paths(
                 path=i,
             )
         marked: set[int] = set()
-        for v in verts:  # contracts: disable=CTR201 (bounded)
+        for v in verts:
             if v in marked:
                 _fail(
                     "SAN-PATH",
@@ -307,7 +307,7 @@ def check_result_paths(
                 )
             marked.add(v)
         total = 0.0
-        for u, v in zip(verts[:-1], verts[1:]):  # contracts: disable=CTR201 (bounded)
+        for u, v in zip(verts[:-1], verts[1:]):
             w = graph.edge_weight(u, v)
             if w is None:
                 _fail(
@@ -356,7 +356,7 @@ def check_prune_certificate(result, *, rel_tol: float = COST_REL_TOL) -> None:
         return
     slack = rel_tol * max(1.0, abs(pr.bound))
     # bounded by the <= K returned paths of a finished run
-    for i, path in enumerate(result.paths):  # contracts: disable=CTR201 (bounded)
+    for i, path in enumerate(result.paths):
         if path.distance > pr.bound + slack:
             _fail(
                 "SAN-PRUNE",

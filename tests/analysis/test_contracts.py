@@ -1,4 +1,4 @@
-"""repro-contracts: fixture corpus, call graph, incremental mode, CLI."""
+"""repro-contracts: fixture corpus, call graph, pragmas, incremental mode, CLI."""
 
 import json
 import shutil
@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.contracts.analyzer import analyze_paths
+from repro.analysis.contracts.analyzer import CACHE_VERSION, analyze_paths
 from repro.analysis.contracts.callgraph import build_callgraph
 from repro.analysis.contracts.cli import main
 from repro.analysis.contracts.config import (
@@ -15,11 +15,12 @@ from repro.analysis.contracts.config import (
     default_config,
 )
 from repro.analysis.contracts.model import load_project
-from repro.analysis.contracts.registry import PASSES, RULES
+from repro.analysis.contracts.registry import PASSES, RULES, UNUSED_PRAGMA
 from repro.analysis.contracts.sarif import findings_to_sarif
 from repro.analysis.findings import findings_to_json
 
 FIXTURES = Path(__file__).parent / "fixtures" / "contracts"
+LOCAL_FIXTURE = Path(__file__).parent / "fixtures" / "rpr004_bad.py"
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 RULE_IDS = (
@@ -32,6 +33,7 @@ RULE_IDS = (
     "CTR402",
     "CTR501",
 )
+LOCAL_RULE_IDS = ("RPR001", "RPR003", "RPR004", "RPR005")
 
 
 def _rules(paths, config=None):
@@ -40,9 +42,10 @@ def _rules(paths, config=None):
 
 
 def test_rule_catalogue_is_complete():
-    assert tuple(sorted(RULES)) == RULE_IDS
-    assert tuple(sorted(r for info in PASSES for r in info.rules)) == RULE_IDS
-    assert len(PASSES) == 5
+    pass_rules = RULE_IDS + LOCAL_RULE_IDS
+    assert tuple(sorted(RULES)) == (UNUSED_PRAGMA,) + pass_rules
+    assert tuple(sorted(r for info in PASSES for r in info.rules)) == pass_rules
+    assert len(PASSES) == 6
 
 
 # ----------------------------------------------------------------------
@@ -250,26 +253,95 @@ def test_pragma_on_loop_header_does_not_blanket_the_body(tmp_path):
         "    return out\n"
     )
     result = _analyze_source(tmp_path, src)
-    assert [f.rule for f in result.findings] == ["CTR102"]
+    assert [f.rule for f in result.findings] == [UNUSED_PRAGMA, "CTR102"]
     assert result.suppressed == 0
+
+
+def test_pragma_inside_a_string_is_inert(tmp_path):
+    src = (
+        '"""Docstring quoting a pragma:\n'
+        "\n"
+        "    x = 1  # contracts: disable=CTR102\n"
+        '"""\n'
+        "import time\n"
+        "\n"
+        "\n"
+        "def f():\n"
+        '    return time.time(), "# contracts: disable=CTR102"\n'
+    )
+    result = _analyze_source(tmp_path, src)
+    # the string on the finding's line suppresses nothing, and the
+    # docstring's quoted pragma is not reported as an unused one
+    assert [(f.rule, f.line) for f in result.findings] == [("CTR102", 9)]
+    assert result.suppressed == 0
+
+
+def test_unused_pragma_fires(tmp_path):
+    src = (
+        "# contracts: module=repro/fixture/pragma.py\n"
+        "import time\n"
+        "\n"
+        "\n"
+        "def f(xs):\n"
+        "    n = len(xs)  # contracts: disable=CTR102\n"
+        "    return n, time.time()  # contracts: disable=CTR102\n"
+    )
+    result = _analyze_source(tmp_path, src)
+    assert [(f.rule, f.line) for f in result.findings] == [(UNUSED_PRAGMA, 6)]
+    assert "disable=CTR102" in result.findings[0].message
+    assert result.suppressed == 1
 
 
 # ----------------------------------------------------------------------
 # incremental mode
 
 
+def _corpus_with_local_rules(tmp_path):
+    """The contracts corpus plus a local-rule finding and an unused pragma."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(FIXTURES, corpus)
+    shutil.copy(LOCAL_FIXTURE, corpus / LOCAL_FIXTURE.name)
+    (corpus / "stale_pragma.py").write_text(
+        "def f(xs):\n    return len(xs)  # contracts: disable=CTR201\n"
+    )
+    return corpus
+
+
 def test_incremental_cold_then_warm_agrees_with_full(tmp_path):
-    full = analyze_paths([str(FIXTURES)])
+    corpus = _corpus_with_local_rules(tmp_path)
+    full = analyze_paths([str(corpus)])
+    assert {"RPR004", UNUSED_PRAGMA} <= {f.rule for f in full.findings}
     cache = tmp_path / "cache.json"
-    cold = analyze_paths([str(FIXTURES)], cache_path=cache)
+    cold = analyze_paths([str(corpus)], cache_path=cache)
     assert cold.cache_misses and not cold.cache_hits
-    warm = analyze_paths([str(FIXTURES)], cache_path=cache)
+    warm = analyze_paths([str(corpus)], cache_path=cache)
     assert warm.cache_hits and not warm.cache_misses
     for run in (cold, warm):
         assert [f.to_dict() for f in run.findings] == [
             f.to_dict() for f in full.findings
         ]
         assert run.suppressed == full.suppressed
+
+
+def test_cache_from_an_older_version_is_not_replayed(tmp_path):
+    corpus = _corpus_with_local_rules(tmp_path)
+    cache = tmp_path / "cache.json"
+    full = analyze_paths([str(corpus)], cache_path=cache)
+    # what the last analyzer without the local pass (cache version 1)
+    # would replay: same keys, no local-rule findings
+    assert CACHE_VERSION > 1
+    old = json.loads(cache.read_text())
+    old["version"] = 1
+    for entry in old["modules"].values():
+        entry["findings"] = [
+            d for d in entry["findings"] if d["rule"] not in LOCAL_RULE_IDS
+        ]
+    cache.write_text(json.dumps(old))
+    rerun = analyze_paths([str(corpus)], cache_path=cache)
+    assert not rerun.cache_hits
+    assert [f.to_dict() for f in rerun.findings] == [
+        f.to_dict() for f in full.findings
+    ]
 
 
 def test_incremental_reanalyzes_only_changed_modules_and_dependents(tmp_path):
@@ -344,8 +416,15 @@ def test_cli_sarif_format(capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in RULE_IDS:
+    for rule in RULES:
         assert rule in out
+    assert set(LOCAL_RULE_IDS) <= set(RULES)
+
+
+def test_cli_write_baseline_needs_baseline(capsys):
+    bad = str(FIXTURES / "determinism_bad.py")
+    assert main(["--write-baseline", bad]) == 2
+    assert "--baseline" in capsys.readouterr().err
 
 
 def test_cli_baseline_ratchet(tmp_path, capsys):

@@ -38,14 +38,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.distributed.comm import FaultPlan
-from repro.dyn.stream import IncidentStream
-from repro.fabric.cli import MMPP_SPEC
-from repro.fabric.elastic import ElasticPolicy
-from repro.fabric.fabric import FabricConfig, ServingFabric, report_row, slo_text
+from repro.fabric.fabric import MMPP_SPEC, SCENARIO_MIX, run_scenario, slo_text
 from repro.graph.suite import suite_graph
-from repro.load.arrivals import arrival_process
-from repro.load.mixes import make_mix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,45 +47,6 @@ SCALE = "tiny"
 HORIZON = 1.0
 MAX_QUERIES = 2000
 KILL_SPEC = "fabric.heartbeat:rankfail:3@R1"
-
-#: every sampled pair reachable — availability measures the fabric
-MIX_SPEC = {"kind": "hotspot", "scc": True, "k": {"dist": "small_heavy", "k_max": 8}}
-
-
-def run_scenario(
-    name: str,
-    graph,
-    seed: int,
-    *,
-    workload: dict,
-    inject: list[str] | None = None,
-    elastic: bool = False,
-    mutations: bool = False,
-) -> dict:
-    config = FabricConfig(
-        max_replicas=5 if elastic else 3,
-        elastic=ElasticPolicy(min_replicas=2) if elastic else None,
-        seed=seed,
-    )
-    plan = FaultPlan.from_specs(inject, seed=seed) if inject else None
-    mix = make_mix(graph, dict(MIX_SPEC))
-    fabric = ServingFabric(graph, mix, config=config, fault_plan=plan)
-    batches = (
-        IncidentStream(seed=seed, rate=40.0).batches(fabric.authority, HORIZON)
-        if mutations
-        else None
-    )
-    report = fabric.run(
-        arrival_process(dict(workload)),
-        horizon=HORIZON,
-        max_queries=MAX_QUERIES,
-        mutations=batches,
-    )
-    row = report_row(name, report)
-    row["inject"] = list(inject or [])
-    row["elastic"] = elastic
-    row["mutations"] = mutations
-    return row
 
 
 def check_row(row: dict) -> None:
@@ -138,7 +93,13 @@ def main() -> None:
     t0 = time.perf_counter()
     rows = []
     for name, kwargs in scenarios:
-        row = run_scenario(name, graph, seed, **kwargs)
+        row, _ = run_scenario(
+            name, graph, seed=seed, horizon=HORIZON, max_queries=MAX_QUERIES,
+            **kwargs,
+        )
+        row["inject"] = kwargs.get("inject", [])
+        row["elastic"] = kwargs.get("elastic", False)
+        row["mutations"] = kwargs.get("mutations", False)
         check_row(row)
         rows.append(row)
         print(
@@ -166,7 +127,7 @@ def main() -> None:
         "seed": seed,
         "horizon": HORIZON,
         "max_queries": MAX_QUERIES,
-        "mix": MIX_SPEC,
+        "mix": SCENARIO_MIX,
         "workloads": {"steady": steady, "mmpp": MMPP_SPEC},
         "kill": KILL_SPEC,
         "rows": rows,

@@ -1,7 +1,7 @@
 """Benchmark harness: everything needed to regenerate the paper's tables
 and figures lives here as library code; the ``benchmarks/`` directory holds
-thin pytest-benchmark wrappers around these functions, and the ``peek-bench``
-CLI exposes them directly.
+thin pytest-benchmark wrappers around these functions, and ``peek bench``
+exposes them directly.
 """
 
 from repro.bench.harness import ExperimentRunner, RunRecord

@@ -33,7 +33,7 @@ from repro.ksp.base import KSPTimeout
 from repro.obs.tracer import get_tracer
 from repro.serve.query import Query, validate_query
 
-__all__ = ["RunRecord", "ExperimentRunner"]
+__all__ = ["RunRecord", "ExperimentRunner", "default_scale"]
 
 
 @dataclass
@@ -54,11 +54,14 @@ class RunRecord:
         return not self.timed_out and self.result is not None
 
 
+def default_scale() -> str:
+    """The suite scale when none is given: ``$REPRO_SCALE`` or small."""
+    return os.environ.get("REPRO_SCALE", "small")
+
+
 @dataclass
 class ExperimentRunner:
-    scale: str = field(
-        default_factory=lambda: os.environ.get("REPRO_SCALE", "small")
-    )
+    scale: str = field(default_factory=default_scale)
     pairs_per_graph: int = field(
         default_factory=lambda: int(os.environ.get("REPRO_PAIRS", "2"))
     )

@@ -29,12 +29,15 @@ and the recovery timeline.
 
 from repro.fabric.elastic import ElasticEvent, ElasticPolicy
 from repro.fabric.fabric import (
+    MMPP_SPEC,
+    SCENARIO_MIX,
     FabricConfig,
     FabricReport,
     KillRecord,
     ServerConfig,
     ServingFabric,
     report_row,
+    run_scenario,
     slo_text,
 )
 from repro.fabric.replica import REPLICA_STATES, Replica
@@ -58,4 +61,7 @@ __all__ = [
     "ServingFabric",
     "report_row",
     "slo_text",
+    "MMPP_SPEC",
+    "SCENARIO_MIX",
+    "run_scenario",
 ]

@@ -3,10 +3,11 @@
 Every simulated serving run in the repo goes through this loop: a
 single :class:`~repro.serve.QueryServer` under load
 (:class:`~repro.load.harness.LoadHarness`, the run-table runner,
-``peek-load``, ``peek-dyn``) as much as a replicated fleet under seeded
-kills (``peek-fabric``).  A run interleaves up to five event streams on
-one simulated timeline, in a fixed priority order at equal instants
-(recoveries → heartbeats → mutations → query arrivals):
+``peek load``, ``peek dyn``) as much as a replicated fleet under seeded
+kills (:func:`run_scenario`, behind ``peek fabric``).  A run interleaves
+up to five event streams on one simulated timeline, in a fixed priority
+order at equal instants (recoveries → heartbeats → mutations → query
+arrivals):
 
 * **queries** — open-loop arrivals, a replayed trace, or a
   :class:`~repro.load.arrivals.ClosedLoop` user population, routed by
@@ -52,7 +53,7 @@ time-to-recovery per kill — is reproducible byte-for-byte.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from random import Random
 from typing import Any, Iterable, Iterator
@@ -61,6 +62,7 @@ import numpy as np
 
 from repro.distributed.comm import CommModel, FaultPlan, SimComm
 from repro.dyn.live import LiveGraph
+from repro.dyn.stream import IncidentStream
 from repro.dyn.terrace import TerraceGraph
 from repro.errors import RankFailure, SanitizerError
 from repro.fabric.elastic import ElasticEvent, ElasticPolicy
@@ -76,7 +78,8 @@ from repro.fabric.replica import (
 from repro.fabric.ring import HashRing
 from repro.fabric.router import Router, ShardMap
 from repro.fabric.supervisor import FabricSupervisor
-from repro.load.arrivals import ArrivalProcess, ClosedLoop
+from repro.load.arrivals import ArrivalProcess, ClosedLoop, arrival_process
+from repro.load.mixes import make_mix
 from repro.load.report import EXPIRED, SHED, LoadReport, QueryLog
 from repro.load.simclock import CostModel, SimClock, virtual_time
 from repro.load.trace import MIX_STREAM_OFFSET, record_open_loop
@@ -93,6 +96,9 @@ __all__ = [
     "ServingFabric",
     "report_row",
     "slo_text",
+    "MMPP_SPEC",
+    "SCENARIO_MIX",
+    "run_scenario",
 ]
 
 #: decorrelates the closed-loop think-time RNG from the mix RNG
@@ -897,7 +903,7 @@ class ServingFabric:
 
 def report_row(scenario: str, report: LoadReport) -> dict[str, Any]:
     """One JSON-ready row per fabric run — the shared shape of
-    ``peek-fabric`` payloads and ``BENCH_fabric.json``.
+    ``peek fabric`` payloads and ``BENCH_fabric.json``.
 
     A bare run's plain :class:`~repro.load.report.LoadReport` reads as a
     fleet of one that was never killed: no kills, heartbeats or spills,
@@ -925,7 +931,7 @@ def report_row(scenario: str, report: LoadReport) -> dict[str, Any]:
 def slo_text(rows: list[dict[str, Any]], *, title: str = "fabric SLO") -> str:
     """Human-readable SLO table over scenario rows (``metrics()`` dicts
     extended with ``scenario`` and ``kill_records`` keys) — shared by
-    ``peek-fabric`` and ``benchmarks/bench_fabric.py``."""
+    ``peek fabric`` and ``benchmarks/bench_fabric.py``."""
 
     def ms(value) -> str:
         return f"{value * 1e3:8.2f}" if value is not None else f"{'-':>8}"
@@ -961,3 +967,75 @@ def slo_text(rows: list[dict[str, Any]], *, title: str = "fabric SLO") -> str:
                 f"(not recovered)"
             )
     return "\n".join(lines)
+
+
+#: the "medium MMPP" workload: bursts to 4x the floor rate, mean offered
+#: load sized for a 3-replica tiny fabric
+MMPP_SPEC = {
+    "kind": "mmpp",
+    "rate_low": 200.0,
+    "rate_high": 800.0,
+    "dwell_low": 0.15,
+    "dwell_high": 0.05,
+}
+
+#: every sampled pair is reachable (``scc``), so availability measures
+#: the fabric, not the topology's holes
+SCENARIO_MIX = {
+    "kind": "hotspot",
+    "scc": True,
+    "k": {"dist": "small_heavy", "k_max": 8},
+}
+
+
+def run_scenario(
+    name: str,
+    graph,
+    *,
+    workload: dict[str, Any],
+    seed: int = 0,
+    replicas: int = 3,
+    timeout: float = 0.5,
+    inject: list[str] | tuple[str, ...] = (),
+    elastic: bool = False,
+    mutations: bool = False,
+    horizon: float = 1.0,
+    max_queries: int = 2000,
+) -> tuple[dict[str, Any], FabricConfig]:
+    """One seeded fabric scenario — the run behind ``peek fabric`` and
+    every row of ``BENCH_fabric.json``.
+
+    ``replicas`` serve from t=0 (``elastic`` provisions two standby
+    slots and may scale down to one fewer); ``inject`` takes fault specs
+    (``fabric.heartbeat:rankfail:3@R1`` kills replica 1 at its third
+    heartbeat); ``mutations`` races a seeded incident stream against the
+    queries.  Returns the scenario's :func:`report_row` and the config
+    it ran under.
+    """
+    config = FabricConfig(
+        server=replace(REPLICA_SERVER, replicas=replicas, timeout=timeout),
+        max_replicas=replicas + (2 if elastic else 0),
+        elastic=ElasticPolicy(min_replicas=max(1, replicas - 1))
+        if elastic
+        else None,
+        seed=seed,
+    )
+    plan = FaultPlan.from_specs(inject, seed=seed) if inject else None
+    mix = make_mix(graph, SCENARIO_MIX)
+    if mutations and config.max_replicas == 1 and plan is None:
+        # one replica and no kills is a single server over the graph as
+        # given: it needs a live graph to apply the incident stream to
+        graph = LiveGraph(graph)
+    fabric = ServingFabric(graph, mix, config=config, fault_plan=plan)
+    batches = (
+        IncidentStream(seed=seed, rate=40.0).batches(fabric.authority, horizon)
+        if mutations
+        else None
+    )
+    report = fabric.run(
+        arrival_process(workload),
+        horizon=horizon,
+        max_queries=max_queries,
+        mutations=batches,
+    )
+    return report_row(name, report), config

@@ -170,7 +170,7 @@ class HotspotMix(QueryMix):
 
 
 def make_mix(graph, spec: dict) -> QueryMix:
-    """Build a mix from a plain-dict spec (run tables, ``peek-load``).
+    """Build a mix from a plain-dict spec (run tables, ``peek load``).
 
     ``{"kind": "hotspot", "exponent": 1.5, "k": {"dist": "small_heavy",
     "k_max": 8}}`` — the ``k`` sub-dict maps to :class:`KSampler`.

@@ -34,6 +34,7 @@ __all__ = [
     "dump_trace",
     "load_trace",
     "record_open_loop",
+    "trace_source",
 ]
 
 TRACE_VERSION = 1
@@ -88,11 +89,7 @@ def load_trace(path: str | Path) -> list[Query]:
     """
     out: list[Query] = []
     with Path(path).open() as fh:
-        header = json.loads(fh.readline())
-        if header.get("type") != "meta" or header.get("version") != TRACE_VERSION:
-            raise ValueError(
-                f"{path}: not a version-{TRACE_VERSION} query trace"
-            )
+        _read_meta(fh, path)
         for line in fh:
             line = line.strip()
             if not line:
@@ -111,6 +108,22 @@ def load_trace(path: str | Path) -> list[Query]:
                 )
             )
     return out
+
+
+def trace_source(path: str | Path) -> dict[str, Any]:
+    """The ``source`` annotation of a trace's meta record (``{}`` when
+    the writer gave none)."""
+    with Path(path).open() as fh:
+        return _read_meta(fh, path).get("source") or {}
+
+
+def _read_meta(fh, path) -> dict[str, Any]:
+    header = json.loads(fh.readline())
+    if header.get("type") != "meta" or header.get("version") != TRACE_VERSION:
+        raise ValueError(
+            f"{path}: not a version-{TRACE_VERSION} query trace"
+        )
+    return header
 
 
 def record_open_loop(

@@ -180,9 +180,9 @@ def parse_fault_spec(spec: str) -> FaultRule:
     :class:`FaultRule.rank`); the ``@R<N>`` spelling scopes it to serving
     replica ``N`` instead (``fabric.heartbeat:rankfail:3@R1`` kills
     replica 1 at its third heartbeat — see :class:`FaultRule.replica`
-    and ``peek-fabric --inject``).  Omitting ``AT_HIT`` leaves the firing
-    visit to the seeded draw.  Shared by ``peek-serve --inject``,
-    ``peek-fabric --inject`` and
+    and ``peek fabric --inject``).  Omitting ``AT_HIT`` leaves the firing
+    visit to the seeded draw.  Shared by ``--inject`` (validated at parse
+    time by ``peek serve`` and ``peek fabric``) and
     :meth:`~repro.distributed.comm.FaultPlan.from_specs`.  Raises
     ``ValueError`` on malformed specs.
     """

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
+from repro.cli import main as peek_main
 from repro.distributed.comm import FaultPlan
 from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
-from repro.fabric.cli import main as fabric_main
 from repro.fabric.elastic import ElasticPolicy
 from repro.fabric.fabric import (
     FabricConfig,
@@ -290,9 +290,9 @@ class TestSingleReplica:
     @pytest.mark.parametrize("mutations", [False, True])
     def test_cli_serves_one_replica(self, tmp_path, mutations):
         out = tmp_path / "one.json"
-        argv = ["--replicas", "1", "--horizon", "0.2", "--max-queries", "60",
-                "--quiet", "--json", str(out)]
-        assert fabric_main(argv + (["--mutations"] if mutations else [])) == 0
+        argv = ["fabric", "--replicas", "1", "--horizon", "0.2",
+                "--max-queries", "60", "--quiet", "--json", str(out)]
+        assert peek_main(argv + (["--mutations"] if mutations else [])) == 0
         row = json.loads(out.read_text())["rows"][0]
         assert row["kills"] == 0 and row["heartbeats"] == 0
         assert row["replica_states"] == {"0": ACTIVE}

@@ -4,10 +4,14 @@ import json
 
 import pytest
 
+from repro.cli import main as peek_main
 from repro.fabric.fabric import FabricConfig, ServingFabric
 from repro.graph.suite import suite_graph
+from repro.load.arrivals import PoissonArrivals
+from repro.load.mixes import UniformMix
 from repro.load.report import DISPOSITIONS
 from repro.load.runner import (
+    TABLES,
     RunTable,
     ServerConfig,
     capacity_summary,
@@ -15,6 +19,7 @@ from repro.load.runner import (
     run_table,
     tiny_table,
 )
+from repro.load.trace import dump_trace, record_open_loop
 
 #: a deliberately small grid so the full runner executes in a second or
 #: two; 1 traffic x 1 graph x 2 configs x 2 reps = 4 cells
@@ -133,39 +138,72 @@ class TestStockTables:
 
 class TestCLI:
     def test_record_and_replay(self, tmp_path, capsys):
-        from repro.load.cli import main
-
         trace = tmp_path / "t.jsonl"
-        assert main([
-            "record", "--pattern", "poisson", "--rate", "200",
+        assert peek_main([
+            "load", "record", "--pattern", "poisson", "--rate", "200",
             "--graph", "LJ", "--horizon", "0.1", "--seed", "4",
             "--out", str(trace),
         ]) == 0
         assert trace.exists()
-        assert main([
-            "replay", "--trace", str(trace), "--graph", "LJ",
+        assert peek_main([
+            "load", "replay", "--trace", str(trace), "--graph", "LJ",
             "--timeout", "0.05",
         ]) == 0
         out = capsys.readouterr().out
         assert '"queries"' in out
 
     def test_run_writes_outputs(self, tmp_path, capsys, monkeypatch):
-        import repro.load.cli as cli
-
-        monkeypatch.setitem(cli.TABLES, "micro", lambda seed=0: MICRO)
+        monkeypatch.setitem(TABLES, "micro", lambda seed=0: MICRO)
         json_path = tmp_path / "bench.json"
         txt_path = tmp_path / "capacity.txt"
-        assert main_args_run(cli, json_path, txt_path) == 0
+        assert peek_main([
+            "load", "run", "--table", "micro", "--json", str(json_path),
+            "--summary", str(txt_path), "--quiet",
+        ]) == 0
         payload = json.loads(json_path.read_text())
         assert payload["benchmark"] == "serving"
         assert txt_path.read_text().startswith("serving capacity")
 
 
-def main_args_run(cli, json_path, txt_path):
-    return cli.main([
-        "run", "--table", "micro", "--json", str(json_path),
-        "--summary", str(txt_path), "--quiet",
-    ])
+class TestReplayGraph:
+    """A trace records the graph it was sampled from; replay defaults to
+    it and refuses a contradicting one."""
+
+    @pytest.fixture(scope="class")
+    def r21_trace(self, tmp_path_factory):
+        trace = tmp_path_factory.mktemp("replay") / "t.jsonl"
+        assert peek_main([
+            "load", "record", "--pattern", "mmpp", "--graph", "R21",
+            "--horizon", "0.2", "--seed", "4", "--out", str(trace),
+        ]) == 0
+        return str(trace)
+
+    def test_replay_defaults_to_the_recorded_graph(self, r21_trace, capsys):
+        capsys.readouterr()
+        argv = ["load", "replay", "--trace", r21_trace, "--timeout", "0.05"]
+        assert peek_main(argv + ["--graph", "R21"]) == 0
+        explicit = capsys.readouterr().out
+        assert peek_main(argv) == 0
+        assert capsys.readouterr().out == explicit
+
+    @pytest.mark.parametrize("flag", [["--graph", "LJ"], ["--scale", "small"]])
+    def test_contradicting_the_trace_is_a_usage_error(self, r21_trace, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            peek_main(["load", "replay", "--trace", r21_trace] + flag)
+        assert exc.value.code == 2
+        assert "contradicts" in capsys.readouterr().err
+
+    def test_unannotated_trace_needs_graph(self, tmp_path, capsys):
+        graph = suite_graph("LJ", "tiny")
+        queries = record_open_loop(
+            PoissonArrivals(100.0), UniformMix(graph), horizon=0.05, seed=1
+        )
+        trace = str(dump_trace(queries, tmp_path / "bare.jsonl"))
+        with pytest.raises(SystemExit) as exc:
+            peek_main(["load", "replay", "--trace", trace])
+        assert exc.value.code == 2
+        assert "--graph" in capsys.readouterr().err
+        assert peek_main(["load", "replay", "--trace", trace, "--graph", "LJ"]) == 0
 
 
 #: one replicated cell next to a single-server cell — the replicas axis

@@ -265,11 +265,11 @@ class TestObservability:
 
 class TestCLI:
     def test_smoke_with_injection(self, capsys):
-        from repro.serve.cli import main
+        from repro.cli import main
 
         rc = main(
             [
-                "--graph", "GT", "--scale", "tiny", "--queries", "3",
+                "serve", "--graph", "GT", "--scale", "tiny", "--queries", "3",
                 "--k", "4", "--seed", "3", "--inject", "prune.scan:timeout",
             ]
         )
@@ -279,7 +279,8 @@ class TestCLI:
         assert "outcomes:" in out
 
     def test_bad_inject_spec_rejected(self):
-        from repro.serve.cli import main
+        from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["--inject", "nonsense"])
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--inject", "nonsense"])
+        assert exc.value.code == 2

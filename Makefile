@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-slow lint contracts bench bench-hot bench-serving bench-dyn bench-fabric example-tuning
+.PHONY: test test-fast test-slow lint contracts bench bench-hot bench-kernels bench-serving bench-dyn bench-fabric example-tuning
 
 ## Tier-1 suite: the full gate every change must keep green.
 test:
@@ -37,6 +37,12 @@ contracts:
 bench: bench-hot
 bench-hot:
 	$(PYTHON) benchmarks/bench_hot_path.py
+
+## Δ-stepping backend sweep: scalar / vectorized / mp on the medium
+## suite, bitwise agreement asserted per row.  Writes
+## BENCH_sssp_kernels.json and results/sssp_kernels.txt.
+bench-kernels:
+	$(PYTHON) benchmarks/bench_sssp_kernels.py
 
 ## Serving-capacity benchmark: the medium run table on simulated time.
 ## Writes BENCH_serving.json and results/serving_capacity.txt.

@@ -12,7 +12,9 @@ trajectory to compare against):
 
 * ``BENCH_hot_path.json`` at the repo root — one row per (algo, graph, K,
   variant) with ``wall_seconds`` and ``edges_relaxed``, plus a computed
-  ``speedup`` on each workspace row;
+  ``speedup`` on each workspace row.  A PeeK row's ``edges_relaxed`` counts
+  both its prune-stage SSSPs and its KSP stage; the prune share alone is
+  ``prune_edges_relaxed``;
 * ``results/hot_path.txt`` — the rendered before/after table.
 
 Environment knobs:
@@ -50,6 +52,16 @@ def _run_once(cls, graph, source, target, k, use_workspace):
     return result, wall
 
 
+def _relaxations(result) -> dict:
+    """Edge-relaxation counts of one run, PeeK's prune stage included."""
+    ksp = int(result.stats.edges_relaxed)
+    prune = getattr(result, "prune", None)
+    if prune is None:
+        return {"edges_relaxed": ksp}
+    pruned = int(prune.stats.edges_relaxed)
+    return {"edges_relaxed": pruned + ksp, "prune_edges_relaxed": pruned}
+
+
 def run_suite(scale, graph_names, k, pairs):
     rows = []
     for name in graph_names:
@@ -83,7 +95,7 @@ def run_suite(scale, graph_names, k, pairs):
                         **common,
                         "variant": "fresh",
                         "wall_seconds": round(base_wall, 6),
-                        "edges_relaxed": int(base_res.stats.edges_relaxed),
+                        **_relaxations(base_res),
                     }
                 )
                 rows.append(
@@ -91,7 +103,7 @@ def run_suite(scale, graph_names, k, pairs):
                         **common,
                         "variant": "workspace",
                         "wall_seconds": round(ws_wall, 6),
-                        "edges_relaxed": int(ws_res.stats.edges_relaxed),
+                        **_relaxations(ws_res),
                         "speedup": round(base_wall / ws_wall, 3) if ws_wall else None,
                     }
                 )

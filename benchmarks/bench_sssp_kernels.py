@@ -5,11 +5,13 @@ The paper builds everything on Δ-stepping "instead of sequentially
 processing one-vertex-at-a-time in Dijkstra's algorithm".  This bench has
 two modes:
 
-* **pytest** (``test_sssp_kernel_choice``, via ``make bench-tests``):
-  compares the three kernels on the suite's largest graph — real serial
-  seconds, traversal rate (MTEPS), and the parallel-phase structure that
-  justifies Δ-stepping.
-* **standalone** (``PYTHONPATH=src python benchmarks/bench_sssp_kernels.py``):
+* **pytest** (``test_sssp_kernel_choice``, via ``PYTHONPATH=src python -m
+  pytest benchmarks/bench_sssp_kernels.py --benchmark-only``): compares
+  the three kernels on the suite's largest graph — real serial seconds,
+  traversal rate (MTEPS), and the parallel-phase structure that justifies
+  Δ-stepping.
+* **standalone** (``make bench-kernels``, i.e. ``PYTHONPATH=src python
+  benchmarks/bench_sssp_kernels.py``):
   sweeps the Δ-stepping *execution backends* (scalar reference loop,
   vectorized frontier kernel, shared-memory multiprocessing at 1 and 2
   workers) across the medium suite, asserting bitwise-identical

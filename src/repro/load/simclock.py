@@ -148,10 +148,11 @@ class CostModel:
         keys, the ``bench_hot_path.py`` schema).  The fit is the affine
         law ``wall ≈ a·edges_relaxed + b`` over the deviation-algorithm
         rows of one graph family (``algos`` defaults to Yen/OptYen, whose
-        wall time *is* edge relaxation; PeeK rows are excluded because
-        their wall is dominated by pruning SSSPs whose relaxations are
-        not counted in ``edges_relaxed``).  ``a`` becomes the per-edge
-        wall cost; every stage constant is then the default ratio table
+        wall time *is* deviation-loop edge relaxation; PeeK rows are
+        excluded because their ``edges_relaxed`` is mostly the prune
+        stage's Δ-stepping relaxations (``prune_edges_relaxed``), a
+        different kernel with a different per-edge cost).  ``a`` becomes
+        the per-edge wall cost; every stage constant is then the default ratio table
         rescaled so one SSSP checkpoint (``settle_batch`` settles at the
         family's mean degree) costs ``a · settle_batch · degree`` — the
         measured machine's speed expressed in this clock's units.

@@ -8,14 +8,18 @@ data-parallel unit the paper parallelises with OpenMP.
 The kernel is split into a shared *bucket driver* and pluggable *relaxation
 engines*, GBBS-style (frontier arrays in, improved-vertex arrays out):
 
-* the driver owns the bucket schedule — the dirty-list frontier tracking,
-  the ``needs``/``in_r`` flags, the per-phase work log, deadline
-  checkpoints, and footprint recording — and is the same for every backend,
-  so each backend sees the identical sequence of relaxation batches;
+* the driver owns the bucket schedule — a lazy bucket queue
+  (:class:`_BucketQueue`, the GBBS/Julienne recipe: a vertex is filed
+  once per distance improvement and never rescanned), the
+  ``needs``/``in_r`` flags, the per-phase work log, deadline checkpoints,
+  and footprint recording — and is the same for every backend, so each
+  backend sees the identical sequence of relaxation batches;
 * a ``"vectorized"`` engine (default) expands each frontier with the
   repeat/cumsum edge map over the graph's cached light/heavy split
-  (:meth:`~repro.graph.csr.CSRGraph.light_heavy_split`) and reduces
-  duplicate targets with one packed-key sort + ``np.minimum.reduceat``;
+  (:meth:`~repro.graph.csr.CSRGraph.light_heavy_split`), drops the
+  candidates that cannot beat their target's distance, and reduces the
+  surviving duplicate targets with one packed-key sort +
+  ``np.minimum.reduceat``;
 * a ``"scalar"`` engine relaxes the same batches one edge at a time in
   plain Python — the auditable reference the fast engines are verified
   bitwise against;
@@ -33,6 +37,8 @@ Figure 9.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.cancel import cancellation_active, checkpoint
@@ -48,6 +54,13 @@ __all__ = ["delta_stepping", "choose_delta", "BACKENDS"]
 BACKENDS = ("scalar", "vectorized", "mp")
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+#: bucket indices are capped here: distances are clipped to this many
+#: bucket widths before the division, so neither the quotient nor its
+#: int64 cast can overflow however small Δ is.  Everything past the cap
+#: shares one overflow bucket, which the driver simply revisits until no
+#: vertex in it improves (still exact, just Bellman–Ford-like in there).
+_MAX_BUCKET = float(1 << 62)
 
 
 def choose_delta(graph: CSRGraph) -> float:
@@ -116,14 +129,21 @@ def _relax_batch(
 ) -> np.ndarray:
     """Apply a batch of relaxation requests; return the improved vertices.
 
-    Duplicate targets are reduced to their minimum candidate first, ties
-    broken by batch position (earliest wins), so ``parent`` stays consistent
-    with ``dist``.  The reduction packs ``(target, position)`` into one
-    int64 key, sorts once, and takes per-group minima with
+    Candidates that do not beat their target's current distance are
+    dropped first: a target improves exactly when its minimum candidate
+    does, and the filter keeps batch order, so the earliest minimum of
+    each surviving group is the same entry it was in the full batch.
+    Duplicate targets are then reduced to their minimum candidate, ties
+    broken by batch position (earliest wins), so ``parent`` stays
+    consistent with ``dist``.  The reduction packs ``(target, position)``
+    into one int64 key, sorts once, and takes per-group minima with
     ``np.minimum.reduceat`` — ~2× faster than the two-key lexsort it
     replaces, with identical winner selection (the lexsort path survives as
-    the fallback for batches too large to pack).
+    the fallback for batches too large to pack).  Every group left after
+    the filter improves, and the improved vertices come out ascending.
     """
+    wins = cands < dist[targets]
+    targets, cands, sources = targets[wins], cands[wins], sources[wins]
     bs = int(targets.size)
     if bs == 0:
         return targets
@@ -156,11 +176,9 @@ def _relax_batch(
         best_t = t_sorted[group_first]
         best_d = cands[order][group_first]
         best_p = sources[order][group_first]
-    improved = best_d < dist[best_t]
-    upd_t = best_t[improved]
-    dist[upd_t] = best_d[improved]
-    parent[upd_t] = best_p[improved]
-    return upd_t
+    dist[best_t] = best_d
+    parent[best_t] = best_p
+    return best_t
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +347,81 @@ class _ScalarEngine:
 # ----------------------------------------------------------------------
 # the shared bucket driver
 # ----------------------------------------------------------------------
+class _BucketQueue:
+    """Lazy Δ-buckets: bucket id → vertex-array chunks, plus a min-heap of ids.
+
+    The GBBS/Julienne bucketing recipe (Dhulipala–Blelloch–Shun): a vertex
+    is filed into the bucket of its new distance each time that distance
+    improves outside the bucket being processed, and is never rescanned.
+    Entries go stale when their vertex is settled (``needs`` cleared) or
+    improved into a lower bucket; :meth:`pop_min` drops them when their
+    bucket comes up.  Every ``needs``-flagged vertex outside the current
+    bucket therefore has a live entry at ``⌊dist / Δ⌋``, so the lowest
+    bucket holding a live entry is the lowest bucket of any flagged vertex.
+    """
+
+    def __init__(self, dist: np.ndarray, needs: np.ndarray, delta: float) -> None:
+        self.dist = dist
+        self.needs = needs
+        self.delta = delta
+        #: distances at or past this clip to the overflow bucket
+        self.cap = _MAX_BUCKET * delta
+        self.chunks: dict[int, list[np.ndarray]] = {}
+        self.heap: list[int] = []
+
+    def bucket_of(self, vertices: np.ndarray) -> np.ndarray:
+        """``⌊dist / Δ⌋`` of each vertex, capped at :data:`_MAX_BUCKET`."""
+        return np.floor_divide(
+            np.minimum(self.dist[vertices], self.cap), self.delta
+        ).astype(np.int64)
+
+    def _file(self, i: int, chunk: np.ndarray) -> None:
+        slot = self.chunks.get(i)
+        if slot is None:
+            self.chunks[i] = [chunk]
+            heapq.heappush(self.heap, i)
+        else:
+            slot.append(chunk)
+
+    def insert(self, vertices: np.ndarray) -> None:
+        """File each vertex under the bucket of its current distance."""
+        ids = self.bucket_of(vertices)
+        lo, hi = int(ids.min()), int(ids.max())
+        if lo == hi:
+            self._file(lo, vertices)
+            return
+        # one argsort groups a chunk that spans several buckets
+        order = np.argsort(ids)
+        ids, vertices = ids[order], vertices[order]
+        cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+        bounds = [0, *cuts, int(ids.size)]
+        for b, e in zip(bounds[:-1], bounds[1:]):
+            self._file(int(ids[b]), vertices[b:e])
+
+    def pop_min(self) -> tuple[int, np.ndarray] | None:
+        """``(i, frontier)`` for the lowest bucket with a live entry, or None.
+
+        The frontier is ascending and duplicate-free (sort plus
+        adjacent-diff), exactly the vertices flagged ``needs`` whose
+        distance lies in bucket ``i``.
+        """
+        while self.heap:
+            i = heapq.heappop(self.heap)
+            chunks = self.chunks.pop(i)
+            cand = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+            cand = cand[self.needs[cand]]
+            if cand.size:
+                cand = cand[self.bucket_of(cand) == i]
+            if cand.size == 0:
+                continue
+            cand.sort()
+            dup = cand[1:] == cand[:-1]
+            if dup.any():
+                cand = np.delete(cand, np.flatnonzero(dup) + 1)
+            return i, cand
+        return None
+
+
 def _run_buckets(
     engine,
     source: int,
@@ -344,11 +437,11 @@ def _run_buckets(
 
     The driver is backend-independent: every engine receives the identical
     sequence of (frontier, edge-class) batches, which is what makes the
-    backends bitwise-interchangeable.  Frontier membership is tracked with
-    a *dirty list* (arrays of recently-improved vertices) instead of an
-    O(n) flag scan per phase; stale entries (vertices whose flag was
-    cleared, or re-improved vertices appended twice) are dropped lazily at
-    bucket-selection time.
+    backends bitwise-interchangeable.  Pending vertices live in a
+    :class:`_BucketQueue`: a vertex improved outside the current bucket is
+    filed once under its new bucket (again if a later improvement moves it
+    lower), and stale entries are dropped lazily when their bucket is
+    extracted, so no phase rescans the pending set.
     """
     dist = engine.dist
     parent = engine.parent
@@ -357,25 +450,15 @@ def _run_buckets(
     needs[source] = True
     if touched is not None:
         touched.append(int(source))
-    dirty: list[np.ndarray] = [np.asarray([source], dtype=np.int64)]
+    queue = _BucketQueue(dist, needs, delta)
+    queue.insert(np.asarray([source], dtype=np.int64))
     check_cancel = cancellation_active(deadline)
 
-    while dirty:
+    while (nxt := queue.pop_min()) is not None:
         if check_cancel:
             checkpoint(deadline, "sssp.delta")
-        pending = dirty[0] if len(dirty) == 1 else np.concatenate(dirty)
-        # lazy deletion: drop cleared flags, then duplicates from re-improves
-        pending = pending[needs[pending]]
-        if pending.size == 0:
-            break
-        pending = np.unique(pending)
-        bucket_ids = np.floor_divide(dist[pending], delta).astype(np.int64)
-        i = int(bucket_ids.min())
-        lo, hi = i * delta, (i + 1) * delta
-        in_bucket = bucket_ids == i
-        frontier = pending[in_bucket]
-        rest = pending[~in_bucket]
-        dirty = [rest] if rest.size else []
+        i, frontier = nxt
+        hi = (i + 1) * delta
         settles: list[np.ndarray] = []
 
         # ---- light-edge inner loop: may reinsert into bucket i ----
@@ -394,15 +477,12 @@ def _run_buckets(
             if improved.size:
                 if touched is not None:
                     touched.extend(improved.tolist())
-                here = dist[improved] < hi  # improvements never drop below lo
+                here = dist[improved] < hi  # improvements never drop below i·Δ
                 outside = improved[~here]
-                # only vertices not already flagged join the dirty list —
-                # every needs-True vertex stays listed at most once per flip
-                fresh_outside = outside[~needs[outside]]
-                needs[improved] = True
-                if fresh_outside.size:
-                    dirty.append(fresh_outside)
                 frontier = improved[here]
+                if outside.size:
+                    queue.insert(outside)
+                needs[improved] = True
             else:
                 frontier = _EMPTY_I64
 
@@ -416,11 +496,9 @@ def _run_buckets(
         if improved.size:
             if touched is not None:
                 touched.extend(improved.tolist())
-            # heavy candidates exceed lo + Δ = hi, so all land in later buckets
-            fresh = improved[~needs[improved]]
+            # heavy candidates exceed i·Δ + Δ = hi, so all land in later buckets
             needs[improved] = True
-            if fresh.size:
-                dirty.append(fresh)
+            queue.insert(improved)
         in_r[settled_now] = False  # sparse reset for the next bucket
 
 
@@ -442,7 +520,8 @@ def delta_stepping(
     Parameters
     ----------
     delta:
-        Bucket width; defaults to :func:`choose_delta`.
+        Bucket width; defaults to :func:`choose_delta`.  Must be finite
+        and positive (``ValueError`` otherwise).
     vertex_mask:
         Optional ``bool[n]`` of *usable* vertices; masked-out vertices are
         treated as deleted (this is how the status-array compaction strategy
@@ -503,8 +582,8 @@ def delta_stepping(
         )
     if delta is None:
         delta = choose_delta(graph) if executor is None else executor.delta
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
 
     stats = SSSPStats()
     tracer = get_tracer()

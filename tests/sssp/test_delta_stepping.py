@@ -59,6 +59,23 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             delta_stepping(diamond_graph, 0, delta=0.0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_delta_raises(self, delta):
+        # NaN slipped past a bare ``delta <= 0`` test and inf ran as one
+        # bucket; both are configuration errors
+        g = erdos_renyi(200, 5.0, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            delta_stepping(g, 0, delta=delta)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+    def test_tiny_delta_has_no_overflowing_bucket_index(self, backend):
+        # dist / 1e-200 is far past int64: the bucket index must be capped
+        # before the cast, not wrapped by an undefined one
+        g = erdos_renyi(200, 5.0, seed=1)
+        res = delta_stepping(g, 0, delta=1e-200, backend=backend)
+        assert dist_equal(res.dist, dijkstra(g, 0).dist)
+
     def test_isolated_source(self):
         g = from_edge_list(3, [(1, 2, 1.0)])
         res = delta_stepping(g, 0)

@@ -17,9 +17,9 @@ under 2× the untraced runtime on the medium suite).
 
 Check ids: ``SAN-CSR`` (CSR structure), ``SAN-VIEW`` (compaction views),
 ``SAN-PATH`` (result paths), ``SAN-PRUNE`` (PeeK prune certificate),
-``SAN-WS`` (workspace epoch integrity), ``SAN-DYN`` (live-graph
-prune-bound reuse: a reused prune must match a cold re-prune on the
-current snapshot).
+``SAN-WS`` (workspace epoch integrity), ``SAN-DYN`` (live graphs: a
+reused prune must match a cold re-prune on the current snapshot, and a
+spliced snapshot must be bitwise-equal to a full Terrace extraction).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "check_result_paths",
     "check_prune_certificate",
     "check_dyn_reuse",
+    "check_spliced_snapshot",
     "check_workspace",
     "run_sanitized",
 ]
@@ -438,6 +439,60 @@ def check_dyn_reuse(
             target=target,
             k=k,
             vertex=v,
+        )
+
+
+def check_spliced_snapshot(spliced, oracle, *, version: int) -> None:
+    """Live-graph splice audit: a spliced snapshot must equal ``to_csr``.
+
+    :meth:`repro.dyn.live.LiveGraph.apply` builds snapshot v+1 from
+    snapshot v by re-reading only the rows a batch touches; ``oracle`` is
+    the full :meth:`~repro.dyn.terrace.TerraceGraph.to_csr` extraction of
+    the same spine state.  ``indptr``, ``indices`` and ``weights`` must
+    agree bit for bit; the first differing row is named — by degree, or
+    by its first differing edge.  O(n + m), so it only runs under
+    sanitizers.
+    """
+    n = spliced.num_vertices
+    if oracle.num_vertices != n:
+        _fail(
+            "SAN-DYN",
+            f"spliced snapshot v{version} has {n} vertices, the Terrace "
+            f"extraction {oracle.num_vertices}",
+            version=version,
+        )
+    deg_s = np.diff(spliced.indptr)
+    deg_o = np.diff(oracle.indptr)
+    bad_deg = np.flatnonzero(deg_s != deg_o)
+    row_end = int(bad_deg[0]) if bad_deg.size else n
+    # before the first degree mismatch both row layouts agree edge for edge
+    end = int(oracle.indptr[row_end])
+    differs = (spliced.indices[:end] != oracle.indices[:end]) | (
+        spliced.weights[:end].view(np.uint64) != oracle.weights[:end].view(np.uint64)
+    )
+    bad_edge = np.flatnonzero(differs)
+    if bad_edge.size:
+        pos = int(bad_edge[0])
+        row = int(np.searchsorted(oracle.indptr, pos, side="right")) - 1
+        _fail(
+            "SAN-DYN",
+            f"spliced snapshot v{version} differs from the Terrace extraction "
+            f"at row {row}, edge {pos - int(oracle.indptr[row])}: spliced "
+            f"{row}->{int(spliced.indices[pos])} (w={float(spliced.weights[pos])!r}), "
+            f"extracted {row}->{int(oracle.indices[pos])} "
+            f"(w={float(oracle.weights[pos])!r})",
+            version=version,
+            vertex=row,
+            edge=pos,
+        )
+    if bad_deg.size:
+        _fail(
+            "SAN-DYN",
+            f"spliced snapshot v{version} differs from the Terrace extraction "
+            f"at row {row_end}: {int(deg_s[row_end])} spliced edges, "
+            f"{int(deg_o[row_end])} extracted",
+            version=version,
+            vertex=row_end,
         )
 
 

@@ -446,9 +446,10 @@ class TerraceGraph:
         become isolated — ids stay stable across versions, which is what
         lets cached SSSP results survive snapshots) and contains exactly
         the live edges in stored (target-sorted) order, so two extractions
-        of the same state are bitwise identical.  The serving layer stamps
-        each snapshot with a monotone version id
-        (:class:`repro.dyn.live.LiveGraph`).
+        of the same state are bitwise identical.  The serving layer
+        (:class:`repro.dyn.live.LiveGraph`) extracts version 0 with it and
+        splices every later version from its predecessor; this full
+        extraction is the oracle that splice is checked against.
         """
         degrees = np.zeros(self._n, dtype=np.int64)
         parts_t: list[np.ndarray] = []

@@ -290,14 +290,20 @@ class QueryServer:
         """Apply one :class:`~repro.dyn.stream.MutationBatch`; new snapshot.
 
         Only valid for servers constructed over a
-        :class:`~repro.dyn.live.LiveGraph`.  Atomically (under the
-        server's lock, so concurrent :meth:`serve` calls see either the
-        old or the new version, never a torn state): applies the batch to
-        the live spine, swaps the current snapshot in as ``self.graph``,
-        and rebinds the versioned :class:`~repro.core.batch.BatchPeeK` —
-        which surgically invalidates only the SSSP cache entries whose
-        trees touch mutated vertices and only the memoised pruning
-        decisions the reuse certificate cannot carry forward.
+        :class:`~repro.dyn.live.LiveGraph`.  Under the server's lock
+        (so writes never interleave with each other): applies the batch
+        to the live spine, swaps the current snapshot in as
+        ``self.graph``, and rebinds the versioned
+        :class:`~repro.core.batch.BatchPeeK` — which surgically
+        invalidates only the SSSP cache entries whose trees touch mutated
+        vertices and only the memoised pruning decisions the reuse
+        certificate cannot carry forward.
+
+        :meth:`serve` does **not** take the lock: it reads ``self.graph``
+        and the ``BatchPeeK`` version and caches unlocked, so a serve
+        overlapping this call can mix two snapshots (a wrong version
+        stamp, or an error).  Do not call :meth:`serve` concurrently with
+        this method; see ``docs/serving.md`` (concurrency contract).
         """
         if self.live is None:
             raise ValueError(
